@@ -205,19 +205,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "pipeline: %d jobs on %d workers: %d compiled, %d cache hits, %s\n",
 			stats.Jobs, stats.Workers, stats.Compiles, stats.CacheHits, stats.Wall.Round(time.Millisecond))
 	}
-	if oracle := runner.Oracle(); oracle.States > 0 {
-		elapsed := time.Duration(oracle.ElapsedNS)
-		ampsPerSec := 0.0
-		if elapsed > 0 {
-			ampsPerSec = float64(oracle.Amps) / elapsed.Seconds()
-		}
-		fused := 0.0
-		if oracle.GatesIn > 0 {
-			fused = 1 - float64(oracle.GatesApplied)/float64(oracle.GatesIn)
-		}
-		fmt.Fprintf(os.Stderr, "oracle: %d states (%d amps) batched in %s, %.0f%% of gates fused away, %d sweep passes folded, %.1fM amps/sec\n",
-			oracle.States, oracle.Amps, elapsed.Round(time.Millisecond), 100*fused, oracle.SweepPassesSaved, ampsPerSec/1e6)
-	}
 	if *jsonOut {
 		// Engine accounting (wall time, worker count) is run metadata,
 		// not results; it is omitted under -stable so the document is

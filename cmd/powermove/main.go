@@ -9,7 +9,7 @@
 // Flags select the pipeline mode (-storage), AOD count (-aods), a baseline
 // comparison (-baseline), a full instruction listing (-disasm), and
 // differential verification of the compiled program (-verify: physical
-// legality checker + semantic equivalence oracle, non-zero exit on any
+// legality checker + structural equivalence walk, non-zero exit on any
 // violation).
 package main
 
@@ -40,7 +40,7 @@ func main() {
 		layouts  = flag.Bool("layouts", false, "print the initial and final qubit layouts")
 		jsonOut  = flag.Bool("json", false, "emit the compile-service JSON document instead of text (byte-identical to powermoved's /v1/compile response for the same request)")
 		stable   = flag.Bool("stable", false, "with -json: omit measured wall-clock fields so output is byte-identical across runs")
-		verify   = flag.Bool("verify", false, "run the differential verifier (physical legality checker + semantic equivalence oracle) and fail on any violation")
+		verify   = flag.Bool("verify", false, "run the differential verifier (physical legality checker + structural equivalence walk) and fail on any violation")
 	)
 	flag.Parse()
 

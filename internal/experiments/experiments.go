@@ -16,7 +16,6 @@ import (
 	"powermove/internal/arch"
 	"powermove/internal/circuit"
 	"powermove/internal/pipeline"
-	"powermove/internal/verify"
 	"powermove/internal/workload"
 )
 
@@ -208,16 +207,11 @@ type Runner struct {
 	// vice versa. Nil compiles every point cold.
 	Snapshots *pipeline.SnapshotStore
 
-	stats  pipeline.Stats
-	oracle verify.OracleStats
+	stats pipeline.Stats
 }
 
 // Stats returns the accumulated engine accounting of every run so far.
 func (rn *Runner) Stats() pipeline.Stats { return rn.stats }
-
-// Oracle returns the accumulated state-vector oracle accounting of
-// every verification sweep this runner ran (zero if none did).
-func (rn *Runner) Oracle() verify.OracleStats { return rn.oracle }
 
 // run executes jobs and indexes the outcomes by key. Per-job errors
 // abort with the first failure; a cancelled context aborts with ctx.Err.

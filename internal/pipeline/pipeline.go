@@ -132,8 +132,8 @@ func NewJob(bench string, scheme Scheme, aods int, gen func() (*circuit.Circuit,
 }
 
 // Artifacts are the intermediate products of one compile — what a
-// consumer needs to verify the program outside the engine (the batched
-// oracle of internal/verify consumes corpora of these).
+// consumer needs to verify the program outside the engine (the
+// verification sweep of internal/experiments consumes these).
 type Artifacts struct {
 	Circuit *circuit.Circuit
 	Program *isa.Program

@@ -153,33 +153,11 @@ type VerifyMetrics struct {
 	Clean int64 `json:"clean"`
 	// Violations is the cumulative violation count across all checks.
 	Violations int64 `json:"violations"`
-	// OracleStates and OracleAmps count the state-vector simulations the
-	// equivalence oracle ran and the amplitudes they held — the oracle
-	// throughput numerators.
-	OracleStates int64 `json:"oracle_states"`
-	OracleAmps   int64 `json:"oracle_amps"`
-	// OracleGatesIn and OracleGatesApplied count gates handed to the
-	// oracle before fusion and operations executed after it;
-	// FusedGateRatio = 1 - applied/in, computed at snapshot time (0 when
-	// the oracle has not run).
-	OracleGatesIn      int64   `json:"oracle_gates_in"`
-	OracleGatesApplied int64   `json:"oracle_gates_applied"`
-	FusedGateRatio     float64 `json:"fused_gate_ratio"`
-	// SweepPassesSaved counts the full state traversals the segment
-	// executor folded away on top of fusion (diagonal runs and dense
-	// neighbors merged into single sweeps).
-	SweepPassesSaved int64 `json:"sweep_passes_saved"`
-	// OracleAmpsPerSec is OracleAmps over cumulative oracle wall-clock,
-	// computed at snapshot time (0 until the oracle has run).
-	OracleAmpsPerSec float64 `json:"oracle_amps_per_sec"`
 }
 
 // verifyLedger accumulates VerifyMetrics atomically.
 type verifyLedger struct {
-	checks, clean, violations                      atomic.Int64
-	oracleStates, oracleAmps                       atomic.Int64
-	oracleGatesIn, oracleGatesApplied, oracleNanos atomic.Int64
-	sweepPassesSaved                               atomic.Int64
+	checks, clean, violations atomic.Int64
 }
 
 // observe folds one verified compile's summary into the ledger; nil
@@ -194,42 +172,15 @@ func (vl *verifyLedger) observe(s *verify.Summary) {
 	} else {
 		vl.violations.Add(int64(s.Violations))
 	}
-	if s.Oracle != nil {
-		vl.observeOracle(*s.Oracle)
-	}
-}
-
-// observeOracle folds raw oracle accounting into the ledger — the
-// batched sweep path reports its aggregate here directly (its per-item
-// summaries carry no wall clock; the aggregate does).
-func (vl *verifyLedger) observeOracle(o verify.OracleStats) {
-	vl.oracleStates.Add(o.States)
-	vl.oracleAmps.Add(o.Amps)
-	vl.oracleGatesIn.Add(o.GatesIn)
-	vl.oracleGatesApplied.Add(o.GatesApplied)
-	vl.sweepPassesSaved.Add(o.SweepPassesSaved)
-	vl.oracleNanos.Add(o.ElapsedNS)
 }
 
 // snapshot reads the ledger.
 func (vl *verifyLedger) snapshot() VerifyMetrics {
-	m := VerifyMetrics{
-		Checks:             vl.checks.Load(),
-		Clean:              vl.clean.Load(),
-		Violations:         vl.violations.Load(),
-		OracleStates:       vl.oracleStates.Load(),
-		OracleAmps:         vl.oracleAmps.Load(),
-		OracleGatesIn:      vl.oracleGatesIn.Load(),
-		OracleGatesApplied: vl.oracleGatesApplied.Load(),
-		SweepPassesSaved:   vl.sweepPassesSaved.Load(),
+	return VerifyMetrics{
+		Checks:     vl.checks.Load(),
+		Clean:      vl.clean.Load(),
+		Violations: vl.violations.Load(),
 	}
-	if m.OracleGatesIn > 0 {
-		m.FusedGateRatio = 1 - float64(m.OracleGatesApplied)/float64(m.OracleGatesIn)
-	}
-	if ns := vl.oracleNanos.Load(); ns > 0 {
-		m.OracleAmpsPerSec = float64(m.OracleAmps) / (float64(ns) / 1e9)
-	}
-	return m
 }
 
 // MemCounters is the allocation side of /metrics, read from

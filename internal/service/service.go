@@ -183,7 +183,7 @@ type CompileSpec struct {
 	Stable bool `json:"stable,omitempty"`
 	// Verify runs the differential verification subsystem
 	// (internal/verify) over the compiled program — the physical
-	// legality checker plus the semantic equivalence oracle — and
+	// legality checker plus the semantic equivalence walk — and
 	// attaches its summary to the response. The HTTP front end also
 	// accepts it as the ?verify=1 query parameter.
 	Verify bool `json:"verify,omitempty"`

@@ -8,12 +8,10 @@ import (
 	"testing"
 )
 
-// This file pins the blocked, optionally parallel gate kernels to the
-// naive mask-scan loops they replaced. The references below are verbatim
-// copies of the pre-blocking implementations; the tests assert the new
-// kernels produce bit-identical amplitudes — serial and parallel alike —
-// on random states, so the simulator's semantic-equivalence checks keep
-// their exact meaning.
+// This file pins the block-walking 1Q gate loops to mask-scan references
+// that visit every index and test the qubit's bit. The tests assert the
+// two produce bit-identical amplitudes on random states, so the package's
+// equivalence checks keep their exact meaning.
 
 func naiveH(s *State, q int) {
 	bit := 1 << uint(q)
@@ -56,8 +54,8 @@ func naiveCZ(s *State, a, b int) {
 }
 
 // identical demands bit-identical amplitudes, not tolerance equality: the
-// blocked kernels perform the same float operations on the same elements,
-// so any difference is a kernel bug.
+// gate loops perform the same float operations on the same elements as
+// the references, so any difference is a bug in the index walk.
 func identical(t *testing.T, label string, got, want *State) {
 	t.Helper()
 	for i := range want.amp {
@@ -68,80 +66,45 @@ func identical(t *testing.T, label string, got, want *State) {
 }
 
 // TestKernelsMatchNaiveReference applies long random gate sequences to
-// random states through the blocked kernels and the naive references, at
-// several register sizes and parallelism settings (the threshold is
-// lowered so even small states exercise the goroutine path; run under
-// -race this also proves the chunking is data-race free).
+// random states through the gate methods and the mask-scan references,
+// at several register sizes.
 func TestKernelsMatchNaiveReference(t *testing.T) {
-	oldThreshold := parallelThreshold.Load()
-	defer func() { parallelThreshold.Store(oldThreshold); SetParallelism(0) }()
+	for _, n := range []int{1, 2, 5, 9, 12} {
+		rng := rand.New(rand.NewSource(int64(100 * n)))
+		fast := NewRandom(n, rng)
+		ref := fast.Clone()
 
-	for _, workers := range []int{1, 3, 8} {
-		for _, n := range []int{1, 2, 5, 9, 12} {
-			rng := rand.New(rand.NewSource(int64(100*n + workers)))
-			fast := NewRandom(n, rng)
-			ref := fast.Clone()
-			parallelThreshold.Store(4) // force the parallel path on tiny states
-			SetParallelism(workers)
-
-			for step := 0; step < 120; step++ {
-				q := rng.Intn(n)
-				switch rng.Intn(4) {
-				case 0:
-					fast.H(q)
-					naiveH(ref, q)
-				case 1:
-					fast.X(q)
-					naiveX(ref, q)
-				case 2:
-					theta := rng.Float64() * 2 * math.Pi
-					fast.RZ(q, theta)
-					naiveRZ(ref, q, theta)
-				default:
-					if n < 2 {
-						continue
-					}
-					p := rng.Intn(n)
-					if p == q {
-						p = (q + 1) % n
-					}
-					fast.CZ(q, p)
-					naiveCZ(ref, q, p)
+		for step := 0; step < 120; step++ {
+			q := rng.Intn(n)
+			switch rng.Intn(4) {
+			case 0:
+				fast.H(q)
+				naiveH(ref, q)
+			case 1:
+				fast.X(q)
+				naiveX(ref, q)
+			case 2:
+				theta := rng.Float64() * 2 * math.Pi
+				fast.RZ(q, theta)
+				naiveRZ(ref, q, theta)
+			default:
+				if n < 2 {
+					continue
 				}
+				p := rng.Intn(n)
+				if p == q {
+					p = (q + 1) % n
+				}
+				fast.CZ(q, p)
+				naiveCZ(ref, q, p)
 			}
-			identical(t, fmt.Sprintf("n=%d/workers=%d", n, workers), fast, ref)
 		}
+		identical(t, fmt.Sprintf("n=%d", n), fast, ref)
 	}
 }
 
-// TestReductionsDeterministicAcrossParallelism: Norm and InnerProduct must
-// return bit-identical values for every worker count — the fixed-chunk
-// merge contract.
-func TestReductionsDeterministicAcrossParallelism(t *testing.T) {
-	oldThreshold := parallelThreshold.Load()
-	defer func() { parallelThreshold.Store(oldThreshold); SetParallelism(0) }()
-	parallelThreshold.Store(4)
-
-	rng := rand.New(rand.NewSource(77))
-	a := NewRandom(14, rng)
-	b := NewRandom(14, rng)
-
-	SetParallelism(1)
-	wantNorm := a.Norm()
-	wantIP := a.InnerProduct(b)
-	for _, workers := range []int{2, 5, 16} {
-		SetParallelism(workers)
-		if got := a.Norm(); got != wantNorm {
-			t.Fatalf("workers=%d: Norm = %v, serial %v", workers, got, wantNorm)
-		}
-		if got := a.InnerProduct(b); got != wantIP {
-			t.Fatalf("workers=%d: InnerProduct = %v, serial %v", workers, got, wantIP)
-		}
-	}
-}
-
-// TestCXStillComposes: the compiled CX identity survives the kernel
-// rewrite end to end.
+// TestCXStillComposes: the compiled CX identity H-CZ-H flips the target
+// exactly when the control is set.
 func TestCXStillComposes(t *testing.T) {
 	s := NewZero(2)
 	s.X(0)     // |01>

@@ -1,15 +1,13 @@
-// Package statevec is a dense state-vector simulator for small quantum
-// registers. The compiler never needs it — scheduling is purely
-// combinatorial — but the test suite uses it to prove *semantic*
-// correctness: a compiled program applies exactly the circuit's unitary,
-// because reordering gates within a commutable CZ block of the Sec. 2.2
-// IR (the only liberty the Sec. 4 stage scheduler takes) cannot change
-// the state. It is also a useful
-// standalone tool for validating small workloads end to end.
+// Package statevec is a naive dense state vector, kept as a differential
+// reference for tests: only _test.go files import it. The verifier
+// decides equivalence structurally (internal/verify); the tests use this
+// package to confirm on small registers that a program the walk accepts
+// leaves a random state exactly where its source circuit's CZ stream
+// leaves it.
 //
-// The simulator supports the gate set the IR needs: Hadamard, Pauli gates,
-// phase rotations, and CZ. States are vectors of 2^n complex amplitudes;
-// qubit 0 is the least significant bit of the basis index.
+// The gates (H, X, Z, RZ, CZ, CX) are serial loops over the amplitudes.
+// States are vectors of 2^n complex amplitudes; qubit 0 is the least
+// significant bit of the basis index.
 package statevec
 
 import (
@@ -17,85 +15,11 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
-	"runtime"
-	"sync"
-	"sync/atomic"
 )
 
-// MaxQubits bounds the register size; 2^24 amplitudes (256 MiB of
-// complex128) is already beyond what the test suite exercises.
+// MaxQubits bounds the register size: 2^24 amplitudes, 256 MiB of
+// complex128.
 const MaxQubits = 24
-
-// parallelism is the configured package-default worker count for gate
-// kernels; 0 selects GOMAXPROCS. It is read atomically so concurrent
-// simulations and a configuration change never race. A Batch can carry
-// its own worker bound (BatchConfig.Workers) and fall back here only
-// when unset, so concurrent batches with different parallelism needs
-// never fight over this global.
-var parallelism atomic.Int32
-
-// parallelThreshold is the minimum amplitude count before a gate kernel
-// fans out to goroutines; below it the dispatch overhead exceeds the
-// work. It is atomic because tests lower it to drive the parallel path
-// on small states while kernels on other goroutines are reading it.
-var parallelThreshold atomic.Int64
-
-func init() { parallelThreshold.Store(1 << 14) }
-
-// SetParallelism sets the package-default number of goroutines gate
-// kernels may use on large states: n <= 0 restores the default
-// (GOMAXPROCS), 1 forces serial execution. Kernels are element-wise on
-// disjoint index sets and the reductions accumulate over fixed chunk
-// boundaries, so results are byte-identical for every setting. Batches
-// can override the default per instance via BatchConfig.Workers.
-func SetParallelism(n int) {
-	if n < 0 {
-		n = 0
-	}
-	parallelism.Store(int32(n))
-}
-
-// Parallelism returns the effective package-default worker count.
-func Parallelism() int {
-	if n := int(parallelism.Load()); n > 0 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// parallelFor splits [0, total) into one contiguous chunk per worker and
-// runs f on each chunk in its own goroutine. It runs f(0, total) inline
-// when the state is below the parallel threshold or one worker is
-// requested. Chunk boundaries never influence results: gate kernels are
-// element-wise, and reductions fix their own accumulation grain
-// (reduceChunk) independent of the split. workers <= 0 selects the
-// package default.
-func parallelFor(workers, total, amps int, f func(lo, hi int)) {
-	if workers <= 0 {
-		workers = Parallelism()
-	}
-	if workers > total {
-		workers = total
-	}
-	if workers <= 1 || int64(amps) < parallelThreshold.Load() {
-		f(0, total)
-		return
-	}
-	chunk := (total + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < total; lo += chunk {
-		hi := lo + chunk
-		if hi > total {
-			hi = total
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			f(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
 
 // State is a normalized quantum state on n qubits.
 type State struct {
@@ -114,62 +38,24 @@ func NewZero(n int) *State {
 	return &State{n: n, amp: amp}
 }
 
-// NewRandom returns a random product-free state: amplitudes with
-// independent uniform real and imaginary parts, normalized. Every
-// amplitude is nonzero almost surely, which is what makes unitary
-// comparisons sensitive to any gate discrepancy.
+// NewRandom returns a random normalized state whose amplitudes have
+// independent uniform real and imaginary parts. Every amplitude is
+// nonzero almost surely, so two CZ streams that differ in any pair's
+// parity leave sign differences the comparison sees.
 func NewRandom(n int, rng *rand.Rand) *State {
 	s := NewZero(n)
-	s.Randomize(rng)
-	return s
-}
-
-// Randomize overwrites the state with NewRandom's distribution. It draws
-// exactly one value from rng — the seed of an inline splitmix64 stream
-// that generates the amplitudes — so filling a Batch slot through a view
-// produces amplitudes bit-identical to a standalone NewRandom under the
-// same seed. The oracle fills two fresh states per equivalence check,
-// which made the previous per-amplitude Gaussian draw (two ziggurat
-// samples behind a rand.Rand call each) the single largest cost of a
-// verification sweep; the inlined generator is pure integer arithmetic.
-func (s *State) Randomize(rng *rand.Rand) {
-	x := uint64(rng.Int63())
 	norm := 0.0
 	for i := range s.amp {
-		// splitmix64: a full-period 2^64 stream with strong avalanche —
-		// more than enough independence for test-state generation.
-		x += 0x9E3779B97F4A7C15
-		z := x
-		z = (z ^ z>>30) * 0xBF58476D1CE4E5B9
-		z = (z ^ z>>27) * 0x94D049BB133111EB
-		z ^= z >> 31
-		re := float64(int32(z)) * 0x1p-31     // the two 32-bit halves give
-		im := float64(int32(z>>32)) * 0x1p-31 // independent uniforms in [-1, 1)
+		re, im := 2*rng.Float64()-1, 2*rng.Float64()-1
 		s.amp[i] = complex(re, im)
 		norm += re*re + im*im
 	}
-	if norm == 0 {
-		s.amp[0] = 1
-		return
-	}
-	scale := 1 / math.Sqrt(norm)
+	scale := complex(1/math.Sqrt(norm), 0)
 	for i := range s.amp {
-		a := s.amp[i]
-		s.amp[i] = complex(scale*real(a), scale*imag(a))
+		s.amp[i] *= scale
 	}
+	return s
 }
-
-// CopyFrom overwrites the state with o's amplitudes.
-// It panics on register-size mismatch.
-func (s *State) CopyFrom(o *State) {
-	if s.n != o.n {
-		panic(fmt.Sprintf("statevec: register sizes %d and %d differ", s.n, o.n))
-	}
-	copy(s.amp, o.amp)
-}
-
-// Qubits returns the register size.
-func (s *State) Qubits() int { return s.n }
 
 // Clone returns an independent copy.
 func (s *State) Clone() *State {
@@ -177,180 +63,74 @@ func (s *State) Clone() *State {
 }
 
 // Amplitude returns the amplitude of basis state idx.
-func (s *State) Amplitude(idx int) complex128 {
-	return s.amp[idx]
-}
+func (s *State) Amplitude(idx int) complex128 { return s.amp[idx] }
 
 // Probability returns |amplitude|^2 of basis state idx.
 func (s *State) Probability(idx int) float64 {
-	return real(s.amp[idx])*real(s.amp[idx]) + imag(s.amp[idx])*imag(s.amp[idx])
-}
-
-// reduceChunk is the fixed accumulation grain of the parallel reductions:
-// partial sums are formed over [c*reduceChunk, (c+1)*reduceChunk) and
-// combined in ascending chunk order, so the floating-point result is
-// identical for every parallelism setting — the deterministic merge the
-// fidelity comparisons rely on.
-const reduceChunk = 1 << 13
-
-// norm2Range sums |a|^2 over one reduction chunk with four independent
-// accumulator lanes, merged in a fixed order: element i feeds lane i%4
-// (tails feed lane 0), and the lanes combine as ((s0+s1)+s2)+s3. The
-// lane structure breaks the serial one-accumulator dependency chain —
-// each float64 add no longer waits on the previous one — and, being a
-// pure function of the chunk contents, keeps the reduction bit-identical
-// across worker counts.
-func norm2Range(amp []complex128) float64 {
-	var s0, s1, s2, s3 float64
-	i := 0
-	for ; i+4 <= len(amp); i += 4 {
-		a0, a1, a2, a3 := amp[i], amp[i+1], amp[i+2], amp[i+3]
-		s0 += real(a0)*real(a0) + imag(a0)*imag(a0)
-		s1 += real(a1)*real(a1) + imag(a1)*imag(a1)
-		s2 += real(a2)*real(a2) + imag(a2)*imag(a2)
-		s3 += real(a3)*real(a3) + imag(a3)*imag(a3)
-	}
-	for ; i < len(amp); i++ {
-		a := amp[i]
-		s0 += real(a)*real(a) + imag(a)*imag(a)
-	}
-	return ((s0 + s1) + s2) + s3
+	a := s.amp[idx]
+	return real(a)*real(a) + imag(a)*imag(a)
 }
 
 // Norm returns the 2-norm of the state (1 for any valid state).
 func (s *State) Norm() float64 {
-	amp := s.amp
-	if len(amp) <= reduceChunk {
-		return math.Sqrt(norm2Range(amp))
+	sum := 0.0
+	for _, a := range s.amp {
+		sum += real(a)*real(a) + imag(a)*imag(a)
 	}
-	chunks := (len(amp) + reduceChunk - 1) / reduceChunk
-	partials := make([]float64, chunks)
-	parallelFor(0, chunks, len(amp), func(lo, hi int) {
-		for c := lo; c < hi; c++ {
-			end := (c + 1) * reduceChunk
-			if end > len(amp) {
-				end = len(amp)
-			}
-			partials[c] = norm2Range(amp[c*reduceChunk : end])
-		}
-	})
-	total := 0.0
-	for _, p := range partials {
-		total += p
-	}
-	return math.Sqrt(total)
+	return math.Sqrt(sum)
 }
 
-func (s *State) checkQubit(q int) {
+// eachPair calls f(i, i+bit) for every basis index i whose qubit-q bit
+// is clear, walking the amplitudes in blocks of 2*bit.
+// It panics if q is outside the register.
+func (s *State) eachPair(q int, f func(i, j int)) {
 	if q < 0 || q >= s.n {
 		panic(fmt.Sprintf("statevec: qubit %d outside register of %d", q, s.n))
 	}
+	bit := 1 << uint(q)
+	for lo := 0; lo < len(s.amp); lo += 2 * bit {
+		for i := lo; i < lo+bit; i++ {
+			f(i, i+bit)
+		}
+	}
 }
-
-// The gate kernels below are cache-blocked: instead of scanning all 2^n
-// indexes and masking out the relevant ones, they enumerate the affected
-// index set directly as contiguous runs. A single-qubit gate on qubit q
-// touches pairs (i, i+bit) whose low index has bit q clear; ranking those
-// pairs 0..2^(n-1)-1 and expanding rank p to index
-// ((p &^ (bit-1)) << 1) | (p & (bit-1)) walks the pairs in runs of length
-// bit with unit stride — sequential memory on both halves of each block.
-// The rank space is also what the goroutine dispatcher splits: chunks are
-// disjoint index sets, so parallel execution is trivially deterministic.
-
-// pairIndex expands pair rank p to the low index of its (i, i+bit) pair.
-func pairIndex(p, mask int) int {
-	return ((p &^ mask) << 1) | (p & mask)
-}
-
-// The rank-range kernels (hKernel/xKernel/rzKernel/czKernel/u2Kernel)
-// are the shared inner loops of State and Batch: each walks pair ranks
-// [lo, hi) of one state's amplitude slice. They are element-wise on
-// disjoint index sets, so any tiling of the rank space — per-state,
-// per-block, or across a whole batch — produces bit-identical
-// amplitudes. Their bodies live in the build-tagged kernel driver files
-// (kernels_portable.go by default, kernels_amd64v3.go under GOAMD64=v3)
-// over the shared unrolled blocks of kernels.go.
 
 // H applies a Hadamard to qubit q.
-func (s *State) H(q int) { s.h(q, 0) }
-
-func (s *State) h(q, workers int) {
-	s.checkQubit(q)
-	bit := 1 << uint(q)
-	amp := s.amp
-	mask := bit - 1
-	parallelFor(workers, len(amp)/2, len(amp), func(lo, hi int) {
-		hKernel(amp, bit, mask, lo, hi)
+func (s *State) H(q int) {
+	inv := complex(1/math.Sqrt2, 0)
+	s.eachPair(q, func(i, j int) {
+		a, b := s.amp[i], s.amp[j]
+		s.amp[i], s.amp[j] = inv*(a+b), inv*(a-b)
 	})
 }
 
 // X applies a Pauli-X (NOT) to qubit q.
-func (s *State) X(q int) { s.x(q, 0) }
-
-func (s *State) x(q, workers int) {
-	s.checkQubit(q)
-	bit := 1 << uint(q)
-	amp := s.amp
-	mask := bit - 1
-	parallelFor(workers, len(amp)/2, len(amp), func(lo, hi int) {
-		xKernel(amp, bit, mask, lo, hi)
-	})
+func (s *State) X(q int) {
+	s.eachPair(q, func(i, j int) { s.amp[i], s.amp[j] = s.amp[j], s.amp[i] })
 }
 
 // Z applies a Pauli-Z to qubit q.
-func (s *State) Z(q int) {
-	s.RZ(q, math.Pi)
-}
+func (s *State) Z(q int) { s.RZ(q, math.Pi) }
 
-// RZ applies a phase rotation diag(1, e^{i*theta}) to qubit q.
-func (s *State) RZ(q int, theta float64) { s.rz(q, theta, 0) }
-
-func (s *State) rz(q int, theta float64, workers int) {
-	s.checkQubit(q)
-	bit := 1 << uint(q)
+// RZ applies the phase rotation diag(1, e^{i*theta}) to qubit q.
+func (s *State) RZ(q int, theta float64) {
 	phase := cmplx.Exp(complex(0, theta))
-	amp := s.amp
-	mask := bit - 1
-	parallelFor(workers, len(amp)/2, len(amp), func(lo, hi int) {
-		rzKernel(amp, bit, mask, phase, lo, hi)
-	})
+	s.eachPair(q, func(_, j int) { s.amp[j] *= phase })
 }
 
-// ApplyU2 applies an arbitrary 2x2 matrix u (row-major) to qubit q —
-// the kernel behind fused runs of single-qubit gates (see Fuse).
-func (s *State) ApplyU2(q int, u [4]complex128) { s.applyU2(q, u, 0) }
-
-func (s *State) applyU2(q int, u [4]complex128, workers int) {
-	s.checkQubit(q)
-	bit := 1 << uint(q)
-	amp := s.amp
-	mask := bit - 1
-	parallelFor(workers, len(amp)/2, len(amp), func(lo, hi int) {
-		u2Kernel(amp, bit, mask, u, lo, hi)
-	})
-}
-
-// CZ applies a controlled-Z between qubits a and b.
-// It panics if a == b.
-func (s *State) CZ(a, b int) { s.cz(a, b, 0) }
-
-func (s *State) cz(a, b, workers int) {
-	s.checkQubit(a)
-	s.checkQubit(b)
-	if a == b {
-		panic(fmt.Sprintf("statevec: CZ on identical qubit %d", a))
+// CZ applies a controlled-Z between qubits a and b: it negates every
+// amplitude whose basis index has both bits set.
+// It panics if a == b or either qubit is outside the register.
+func (s *State) CZ(a, b int) {
+	if a < 0 || b < 0 || a >= s.n || b >= s.n || a == b {
+		panic(fmt.Sprintf("statevec: CZ(%d, %d) on a %d-qubit register", a, b, s.n))
 	}
-	loBit, hiBit := 1<<uint(a), 1<<uint(b)
-	if loBit > hiBit {
-		loBit, hiBit = hiBit, loBit
+	mask := 1<<uint(a) | 1<<uint(b)
+	for i := range s.amp {
+		if i&mask == mask {
+			s.amp[i] = -s.amp[i]
+		}
 	}
-	loMask, hiMask := loBit-1, hiBit-1
-	amp := s.amp
-	// Rank space: indexes with both bits set, enumerated by expanding the
-	// rank around the low bit, then the high bit, in runs of loBit.
-	parallelFor(workers, len(amp)/4, len(amp), func(lo, hi int) {
-		czKernel(amp, loBit, hiBit, loMask, hiMask, lo, hi)
-	})
 }
 
 // CX applies a controlled-X with control c and target t, via the
@@ -361,61 +141,17 @@ func (s *State) CX(c, t int) {
 	s.H(t)
 }
 
-// dotRange sums conj(sa[i])*oa[i] over one reduction chunk with the same
-// four-lane fixed-merge structure as norm2Range, in explicit real/imag
-// arithmetic (conj(a)*b has re = ar*br + ai*bi, im = ar*bi - ai*br).
-func dotRange(sa, oa []complex128) complex128 {
-	var r0, r1, r2, r3, m0, m1, m2, m3 float64
-	i := 0
-	for ; i+4 <= len(sa); i += 4 {
-		a0, b0 := sa[i], oa[i]
-		a1, b1 := sa[i+1], oa[i+1]
-		a2, b2 := sa[i+2], oa[i+2]
-		a3, b3 := sa[i+3], oa[i+3]
-		r0 += real(a0)*real(b0) + imag(a0)*imag(b0)
-		m0 += real(a0)*imag(b0) - imag(a0)*real(b0)
-		r1 += real(a1)*real(b1) + imag(a1)*imag(b1)
-		m1 += real(a1)*imag(b1) - imag(a1)*real(b1)
-		r2 += real(a2)*real(b2) + imag(a2)*imag(b2)
-		m2 += real(a2)*imag(b2) - imag(a2)*real(b2)
-		r3 += real(a3)*real(b3) + imag(a3)*imag(b3)
-		m3 += real(a3)*imag(b3) - imag(a3)*real(b3)
-	}
-	for ; i < len(sa); i++ {
-		a, b := sa[i], oa[i]
-		r0 += real(a)*real(b) + imag(a)*imag(b)
-		m0 += real(a)*imag(b) - imag(a)*real(b)
-	}
-	return complex(((r0+r1)+r2)+r3, ((m0+m1)+m2)+m3)
-}
-
-// InnerProduct returns <s|o>, accumulated over the fixed reduceChunk
-// grain so the result is identical for every parallelism setting.
+// InnerProduct returns <s|o>.
 // It panics on register-size mismatch.
 func (s *State) InnerProduct(o *State) complex128 {
 	if s.n != o.n {
 		panic(fmt.Sprintf("statevec: register sizes %d and %d differ", s.n, o.n))
 	}
-	sa, oa := s.amp, o.amp
-	if len(sa) <= reduceChunk {
-		return dotRange(sa, oa)
+	var sum complex128
+	for i, a := range s.amp {
+		sum += cmplx.Conj(a) * o.amp[i]
 	}
-	chunks := (len(sa) + reduceChunk - 1) / reduceChunk
-	partials := make([]complex128, chunks)
-	parallelFor(0, chunks, len(sa), func(lo, hi int) {
-		for c := lo; c < hi; c++ {
-			end := (c + 1) * reduceChunk
-			if end > len(sa) {
-				end = len(sa)
-			}
-			partials[c] = dotRange(sa[c*reduceChunk:end], oa[c*reduceChunk:end])
-		}
-	})
-	var total complex128
-	for _, p := range partials {
-		total += p
-	}
-	return total
+	return sum
 }
 
 // Fidelity returns |<s|o>|^2, the overlap probability of the two states.
@@ -424,21 +160,15 @@ func (s *State) Fidelity(o *State) float64 {
 	return real(ip)*real(ip) + imag(ip)*imag(ip)
 }
 
-// Equal reports whether the states coincide up to tolerance tol in the
-// max-norm of the amplitude difference (global phase NOT factored out;
-// the gate set here is deterministic about phases). The comparison is
-// |d|^2 <= tol^2 — same verdict as a hypot-based |d| <= tol on every
-// finite input (squaring is monotone; amplitudes are bounded by 1, so
-// the square cannot overflow) without the library call per amplitude —
-// and treats NaN amplitudes as unequal.
+// Equal reports whether the states coincide up to tol in the max-norm
+// of the amplitude difference. Global phase is not factored out: CZ is
+// phase-exact. NaN amplitudes compare unequal.
 func (s *State) Equal(o *State, tol float64) bool {
 	if s.n != o.n {
 		return false
 	}
-	t2 := tol * tol
 	for i := range s.amp {
-		d := s.amp[i] - o.amp[i]
-		if !(real(d)*real(d)+imag(d)*imag(d) <= t2) {
+		if !(cmplx.Abs(s.amp[i]-o.amp[i]) <= tol) {
 			return false
 		}
 	}

@@ -59,6 +59,22 @@ func TestXAndCZInvolutions(t *testing.T) {
 	}
 }
 
+// TestCZInvolution: CZ moves a random state, and CZ twice is the
+// identity.
+func TestCZInvolution(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	s := NewRandom(4, rng)
+	orig := s.Clone()
+	s.CZ(0, 3)
+	if s.Equal(orig, 1e-9) {
+		t.Error("CZ left a random state unchanged")
+	}
+	s.CZ(0, 3)
+	if !s.Equal(orig, 1e-9) {
+		t.Error("CZ^2 != I")
+	}
+}
+
 // TestBellViaCX: H + CX produce the Bell state with the right amplitudes.
 func TestBellViaCX(t *testing.T) {
 	s := NewZero(2)
@@ -166,6 +182,7 @@ func TestPanicsOnBadQubits(t *testing.T) {
 		func() { s.H(2) },
 		func() { s.CZ(0, 0) },
 		func() { s.CZ(0, 5) },
+		func() { s.CZ(-1, 1) },
 		func() { s.InnerProduct(NewZero(3)) },
 	}
 	for i, op := range cases {

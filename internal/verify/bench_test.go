@@ -1,118 +1,66 @@
 package verify
 
 import (
-	"math/rand"
-	"sync"
 	"testing"
 
+	"powermove/internal/circuit"
 	"powermove/internal/compiler"
-	"powermove/internal/statevec"
+	"powermove/internal/isa"
+	"powermove/internal/layout"
 	"powermove/internal/workload"
 )
 
-// The oracle-sweep benchmark corpus: a miniature verification sweep
-// (three schemes x seven seeds, like cmd/experiments -verify) compiled
-// once and reused across sub-benchmarks. 16-qubit registers are large
-// enough that the oracle dominates and small enough that the unfused
-// baseline still finishes.
-var (
-	sweepOnce  sync.Once
-	sweepItems []Item
-)
-
-func sweepCorpus(b *testing.B) []Item {
-	sweepOnce.Do(func() {
-		for seed := int64(1); seed <= 7; seed++ {
-			cfg := workload.RandomConfig{Qubits: 16, Blocks: 4, Density: 0.4}
-			circ := workload.Random(cfg, seed)
-			hw := workload.RandomArch(cfg.Qubits, seed)
-			for scheme := 0; scheme < 3; scheme++ {
-				var (
-					p   *compiler.Pipeline
-					err error
-				)
-				switch scheme {
-				case 0:
-					p, err = compiler.Enola(compiler.EnolaConfig{Seed: seed})
-				case 1:
-					p, err = compiler.Zoned(compiler.ZonedConfig{UseStorage: false})
-				default:
-					p, err = compiler.Zoned(compiler.ZonedConfig{UseStorage: true})
-				}
-				if err != nil {
-					panic(err)
-				}
-				res, err := p.Run(circ, hw)
-				if err != nil {
-					panic(err)
-				}
-				sweepItems = append(sweepItems, Item{Circ: circ, Prog: res.Program, Initial: res.Initial})
-			}
-		}
-	})
-	return sweepItems
+// sweepItem is one compiled point of the benchmark corpus.
+type sweepItem struct {
+	circ    *circuit.Circuit
+	prog    *isa.Program
+	initial *layout.Layout
 }
 
-// legacyVerify preserves the pre-batch oracle as the benchmark baseline:
-// the full per-item checker suite with a gate-by-gate (unfused,
-// unbatched) state-vector simulation — exactly what All did before gate
-// fusion and the batch engine. Its verdicts still agree with the modern
-// paths (fusion and batching are bit-identical), which the differential
-// tests assert; here it exists only to be raced against.
-func legacyVerify(it Item) *Report {
-	r := CheckPhysical(it.Prog, it.Initial)
-	eq := &Report{}
-	if c := checkEquivalenceStructural(eq, it.Circ, it.Prog); c != nil {
-		rng := rand.New(rand.NewSource(c.seed))
-		ref := statevec.NewRandom(c.n, rng)
-		got := ref.Clone()
-		for bi := range it.Circ.Blocks {
-			for _, g := range it.Circ.Blocks[bi].Gates {
-				ref.CZ(g.A, g.B)
+// sweepCorpus compiles a miniature verification sweep: three schemes x
+// seven seeds at 16 qubits, like cmd/experiments -verify.
+func sweepCorpus(b *testing.B) []sweepItem {
+	var items []sweepItem
+	for seed := int64(1); seed <= 7; seed++ {
+		cfg := workload.RandomConfig{Qubits: 16, Blocks: 4, Density: 0.4}
+		circ := workload.Random(cfg, seed)
+		hw := workload.RandomArch(cfg.Qubits, seed)
+		for scheme := 0; scheme < 3; scheme++ {
+			var (
+				p   *compiler.Pipeline
+				err error
+			)
+			switch scheme {
+			case 0:
+				p, err = compiler.Enola(compiler.EnolaConfig{Seed: seed})
+			case 1:
+				p, err = compiler.Zoned(compiler.ZonedConfig{UseStorage: false})
+			default:
+				p, err = compiler.Zoned(compiler.ZonedConfig{UseStorage: true})
 			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			res, err := p.Run(circ, hw)
+			if err != nil {
+				b.Fatal(err)
+			}
+			items = append(items, sweepItem{circ, res.Program, res.Initial})
 		}
-		for _, g := range compiledCZOrder(it.Prog) {
-			got.CZ(g.A, g.B)
-		}
-		compareOracle(eq, ref, got)
 	}
-	r.merge(eq)
-	return r
+	return items
 }
 
-// BenchmarkOracleSweep measures a full verification sweep three ways:
-// the historical per-state unfused oracle (baseline), the fused
-// standalone oracle (All per item), and the batched engine (AllBatch).
-// The batched/baseline ratio is the acceptance evidence for the oracle
-// rework; benchgate pins all three so neither path regresses silently.
-func BenchmarkOracleSweep(b *testing.B) {
+// BenchmarkVerifySweep measures the verification of the 21-item sweep
+// corpus: All per item.
+func BenchmarkVerifySweep(b *testing.B) {
 	items := sweepCorpus(b)
-	b.Run("unfused-perstate", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, it := range items {
-				if r := legacyVerify(it); !r.OK() {
-					b.Fatalf("sweep item failed verification:\n%s", r)
-				}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, it := range items {
+			if r := All(it.circ, it.prog, it.initial); !r.OK() {
+				b.Fatalf("sweep item failed verification:\n%s", r)
 			}
 		}
-	})
-	b.Run("fused-perstate", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, it := range items {
-				if r := All(it.Circ, it.Prog, it.Initial); !r.OK() {
-					b.Fatalf("sweep item failed verification:\n%s", r)
-				}
-			}
-		}
-	})
-	b.Run("batched", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			reports, _ := AllBatch(items, BatchOptions{})
-			for _, r := range reports {
-				if !r.OK() {
-					b.Fatalf("sweep item failed verification:\n%s", r)
-				}
-			}
-		}
-	})
+	}
 }

@@ -12,20 +12,20 @@ import (
 // fuzzer's raw inputs onto a seeded random circuit (internal/workload's
 // generator layer), a randomized architecture, and a pipeline
 // configuration, compiles, and demands the result verifies clean under
-// the physical legality checker and the semantic equivalence oracle.
-// Any violation is a real compiler bug: the generated circuits always
-// validate and the architectures always have capacity, so compilation
-// must succeed and the product must be legal and equivalent.
+// the physical legality checker and the equivalence walk. Any violation
+// is a real compiler bug: the generated circuits always validate and
+// the architectures always have capacity, so compilation must succeed
+// and the product must be legal and equivalent.
 //
 // The committed seed corpus (testdata/fuzz/FuzzCompileVerify) pins one
 // input per pipeline x grouping x AOD shape, plus one per register size
-// of the >18-qubit oracle tier (19..22, the fused batched path); `go
-// test` replays it on every run, and CI's fuzz job explores beyond it.
+// from 19 to 22 qubits; `go test` replays it on every run, and CI's fuzz
+// job explores beyond it.
 //
-// Every execution also runs the batched oracle (AllBatch) over the same
-// compile and demands verdict agreement with the per-item path — the
-// two must produce identical violations, because the batch kernels are
-// bit-identical to the single-state ones.
+// On registers the naive state-vector reference holds
+// (maxReferenceQubits), every execution also demands that the reference
+// agree with the walk: a program that verifies clean leaves a random
+// state where its source circuit's CZ stream leaves it.
 func FuzzCompileVerify(f *testing.F) {
 	//            seed  qubits blocks density scheme aods grouping
 	f.Add(int64(1), int64(8), int64(3), int64(30), int64(0), int64(1), int64(0))
@@ -34,28 +34,20 @@ func FuzzCompileVerify(f *testing.F) {
 	f.Add(int64(4), int64(6), int64(2), int64(80), int64(2), int64(4), int64(2))
 	f.Add(int64(5), int64(2), int64(1), int64(99), int64(1), int64(3), int64(1))
 	f.Add(int64(6), int64(14), int64(6), int64(10), int64(0), int64(1), int64(0))
-	// The deep-oracle tier: qubits = 15, 31, 47, 63 select registers of
-	// 19, 20, 21, and 22 qubits (see the mapping below) — the sizes the
-	// unfused oracle could never afford. Densities are kept low so the
-	// compiles stay cheap; the oracle cost is dominated by the register.
+	// Larger registers: qubits = 15, 31, 47, 63 select 19, 20, 21, and
+	// 22 qubits (see the mapping below). Densities are kept low so the
+	// compiles stay cheap.
 	f.Add(int64(7), int64(15), int64(1), int64(5), int64(1), int64(1), int64(0))
 	f.Add(int64(8), int64(31), int64(1), int64(8), int64(2), int64(2), int64(1))
 	f.Add(int64(9), int64(47), int64(0), int64(6), int64(0), int64(1), int64(0))
 	f.Add(int64(10), int64(63), int64(0), int64(4), int64(2), int64(1), int64(2))
 	f.Fuzz(func(t *testing.T, seed, qubits, blocks, density, scheme, aods, grouping int64) {
 		// 15 of every 16 inputs land in 2..14 (cheap, dense coverage);
-		// the 16th lands in 19..22, exercising the deep oracle tier on
-		// multi-MB registers.
+		// the 16th lands in 19..22.
 		q := abs(qubits)
 		n := 2 + q%13
 		if q%16 == 15 {
 			n = 19 + (q/16)%4
-			if raceEnabled {
-				// Race shadow memory makes 2^21+-amplitude simulations
-				// prohibitively slow; keep the deep tier but cap it at
-				// 20 qubits so -race runs stay in budget.
-				n = 19 + (q/16)%2
-			}
 		}
 		cfg := workload.RandomConfig{
 			Qubits:  n,
@@ -94,45 +86,12 @@ func FuzzCompileVerify(f *testing.F) {
 		if err != nil {
 			t.Fatalf("compile %s: %v", circ.Name, err)
 		}
-		r := All(circ, res.Program, res.Initial)
-		batched, _ := AllBatch([]Item{{Circ: circ, Prog: res.Program, Initial: res.Initial}}, BatchOptions{})
-		rb := batched[0]
-		// Verdict agreement between the per-item and batched oracle
-		// paths: identical violations (the amplitudes are bit-identical,
-		// so even the rendered details must coincide) and mode.
-		if len(rb.Violations) != len(r.Violations) {
-			t.Fatalf("batched oracle found %d violation(s), per-item %d:\nbatched: %s\nper-item: %s",
-				len(rb.Violations), len(r.Violations), rb, r)
-		}
-		for i, v := range r.Violations {
-			bv := rb.Violations[i]
-			if bv.Code != v.Code || bv.Instr != v.Instr || bv.Detail != v.Detail {
-				t.Fatalf("batched violation %d differs:\nbatched: %s\nper-item: %s", i, bv, v)
-			}
-		}
-		if rb.EquivalenceMode != r.EquivalenceMode {
-			t.Fatalf("batched oracle mode %q, per-item %q", rb.EquivalenceMode, r.EquivalenceMode)
-		}
-		if (r.Oracle == nil) != (rb.Oracle == nil) {
-			t.Fatalf("oracle accounting presence differs: batched %+v, per-item %+v", rb.Oracle, r.Oracle)
-		}
-		if r.Oracle != nil {
-			if rb.Oracle.States != r.Oracle.States || rb.Oracle.Amps != r.Oracle.Amps ||
-				rb.Oracle.GatesIn != r.Oracle.GatesIn || rb.Oracle.GatesApplied != r.Oracle.GatesApplied ||
-				rb.Oracle.SweepPassesSaved != r.Oracle.SweepPassesSaved {
-				t.Fatalf("oracle accounting differs: batched %+v, per-item %+v", rb.Oracle, r.Oracle)
-			}
-		}
-		// The segmented oracle must agree with the pre-fusion gate-by-gate
-		// reference on the verdict: folding reorders only exact sign flips
-		// here, so any disagreement is a segment-executor bug.
-		if legacy := legacyVerify(Item{Circ: circ, Prog: res.Program, Initial: res.Initial}); legacy.OK() != r.OK() {
-			t.Fatalf("legacy oracle verdict %v, segmented %v:\nlegacy: %s\nsegmented: %s",
-				legacy.OK(), r.OK(), legacy, r)
-		}
-		if !r.OK() {
+		if r := All(circ, res.Program, res.Initial); !r.OK() {
 			t.Fatalf("compile %s (%d AODs) produced an illegal or inequivalent program:\n%s",
 				circ.Name, hw.AODs, r)
+		}
+		if n <= maxReferenceQubits && !referenceAgrees(circ, res.Program, seed) {
+			t.Fatalf("compile %s verifies clean, but the naive reference tells its CZ stream from the source's", circ.Name)
 		}
 
 		// Mutate-and-recompile mode: for resumable pipelines, capture

@@ -14,11 +14,11 @@
 //     blockade, Table 1), and stage-transition inconsistencies (a move
 //     departing from a site its qubit does not occupy).
 //   - CheckEquivalence proves semantic equivalence with the source
-//     circuit: a structural gate-accounting pass for any size, and for
-//     registers up to MaxOracleQubits a state-vector oracle that runs
-//     both gate sequences on a seeded random state and demands
-//     fidelity 1. Larger registers get internal/exact spot checks on
-//     their small blocks instead.
+//     circuit by one structural walk, exact at every register size:
+//     each block's CZ gates must run in block order as a multiset
+//     permutation of the block, and each block's 1Q layer must sit
+//     between the previous block's last pulse and the block's first
+//     (equivalence.go gives the reason no simulation is needed).
 //
 // Unlike internal/sim — which fail-stops on the first illegal
 // instruction — the verifier is best-effort and exhaustive: it keeps
@@ -84,7 +84,7 @@ const (
 	EmptyInstr Code = "empty-instr"
 )
 
-// The semantic-equivalence violation codes (see oracle.go).
+// The semantic-equivalence violation codes (see equivalence.go).
 const (
 	// GateLoss: the compiled stream's CZ multiset differs from the
 	// circuit's (a gate dropped, duplicated, or invented).
@@ -92,16 +92,13 @@ const (
 	// BlockOrder: a gate executed outside its dependent block's span —
 	// commutation was assumed across a block boundary.
 	BlockOrder Code = "block-order"
-	// OneQLoss: the compiled single-qubit gate count differs from the
-	// circuit's.
+	// OneQLoss: a compiled 1Q layer's gate count differs from its
+	// block's, or a layer is missing or invented.
 	OneQLoss Code = "oneq-loss"
-	// StateMismatch: the state-vector oracle measured fidelity below
-	// 1 between the compiled and source gate sequences.
-	StateMismatch Code = "state-mismatch"
-	// StageCount: a block's pulse count is below the provably minimal
-	// stage count (internal/exact) — impossible for a real partition,
-	// so gates were merged or dropped.
-	StageCount Code = "stage-count"
+	// OneQOrder: a 1Q layer with the right count sits at the wrong
+	// place — not between the previous block's last pulse and its own
+	// block's first.
+	OneQOrder Code = "oneq-order"
 )
 
 // Violation is one structured diagnostic.
@@ -134,11 +131,8 @@ type Report struct {
 	Instructions int `json:"instructions"`
 	Batches      int `json:"batches"`
 	Pulses       int `json:"pulses"`
-	// EquivalenceMode records how semantic equivalence was established:
-	// "statevec" (exact oracle), "structural" (gate accounting + exact
-	// spot checks), or "" when only the physical checker ran.
-	EquivalenceMode string `json:"equivalence_mode,omitempty"`
-	// Oracle accounts the state-vector oracle work, when it ran.
+	// Oracle is always nil: equivalence is decided without simulation
+	// (see OracleStats).
 	Oracle *OracleStats `json:"oracle,omitempty"`
 }
 
@@ -152,20 +146,6 @@ func (r *Report) add(code Code, instr int, qubits []int, format string, args ...
 		Qubits: qubits,
 		Detail: fmt.Sprintf(format, args...),
 	})
-}
-
-// merge appends o's violations to r, keeping r's replay accounting.
-func (r *Report) merge(o *Report) {
-	r.Violations = append(r.Violations, o.Violations...)
-	if o.EquivalenceMode != "" {
-		r.EquivalenceMode = o.EquivalenceMode
-	}
-	if o.Oracle != nil {
-		if r.Oracle == nil {
-			r.Oracle = &OracleStats{}
-		}
-		r.Oracle.accumulate(o.Oracle)
-	}
 }
 
 // String renders the report as one line per violation, or an all-clear.
@@ -194,26 +174,13 @@ type Summary struct {
 	Violations int `json:"violations"`
 	// Codes counts findings per violation code.
 	Codes map[string]int `json:"codes,omitempty"`
-	// EquivalenceMode echoes Report.EquivalenceMode.
-	EquivalenceMode string `json:"equivalence_mode,omitempty"`
 	// Messages holds up to MaxSummaryMessages rendered violations.
 	Messages []string `json:"messages,omitempty"`
-	// Oracle echoes Report.Oracle (deep copy; nil when the oracle did
-	// not run). Every serialized field is a pure function of the
-	// verified inputs, so summaries stay deterministic and cacheable.
-	Oracle *OracleStats `json:"oracle,omitempty"`
 }
 
 // Summary digests the report.
 func (r *Report) Summary() *Summary {
-	s := &Summary{
-		Violations:      len(r.Violations),
-		EquivalenceMode: r.EquivalenceMode,
-	}
-	if r.Oracle != nil {
-		o := *r.Oracle
-		s.Oracle = &o
-	}
+	s := &Summary{Violations: len(r.Violations)}
 	if len(r.Violations) > 0 {
 		s.Codes = make(map[string]int, 4)
 		for _, v := range r.Violations {
@@ -227,11 +194,11 @@ func (r *Report) Summary() *Summary {
 }
 
 // All runs the full verification — the physical legality checker and the
-// semantic equivalence oracle — and returns the merged report. circ is
-// the source circuit res was compiled from.
+// semantic equivalence walk — and returns the merged report. circ is the
+// source circuit prog was compiled from.
 func All(circ *circuit.Circuit, prog *isa.Program, initial *layout.Layout) *Report {
 	r := CheckPhysical(prog, initial)
-	r.merge(CheckEquivalence(circ, prog))
+	r.Violations = append(r.Violations, CheckEquivalence(circ, prog).Violations...)
 	return r
 }
 

@@ -127,45 +127,28 @@ type Trace = trace.Trace
 type (
 	// VerifyReport is a full verification report: every structured
 	// violation the physical legality checker and the semantic
-	// equivalence oracle found, plus the replay accounting.
+	// equivalence walk found, plus the replay accounting.
 	VerifyReport = verify.Report
 	// VerifyViolation is one structured diagnostic of a VerifyReport.
 	VerifyViolation = verify.Violation
 	// VerifySummary is the serializable digest of a VerifyReport that
 	// rides on service responses and batch outcomes.
 	VerifySummary = verify.Summary
-	// VerifyItem is one unit of batched verification: a source circuit,
-	// its compiled program, and the initial layout.
-	VerifyItem = verify.Item
-	// VerifyOracleStats accounts the state-vector oracle work a
-	// verification performed (states simulated, amplitudes, gate-fusion
-	// counts).
-	VerifyOracleStats = verify.OracleStats
 )
 
 // Verify runs the differential verification subsystem over a compiled
 // result: the physical legality checker replays the program against the
 // architecture model (AOD order preservation, trap exclusivity,
 // blockade spacing, stage-transition consistency), and the semantic
-// equivalence oracle proves the program means circ (state-vector
-// comparison up to verify.MaxOracleQubits qubits, structural gate
-// accounting plus exact spot checks beyond). circ must be the circuit
-// res was compiled from; a compilation run with Options.FuseBlocks
-// reorders across fused block boundaries by design, so verify such
-// results against the fused circuit (internal/fuse) instead of the
-// original.
+// equivalence walk proves the program means circ (each block's CZ
+// gates run in block order as a permutation of the block, each 1Q layer
+// sits on its block's boundary; exact at every register size). circ
+// must be the circuit res was compiled from; a compilation run with
+// Options.FuseBlocks merges blocks and their 1Q layers by design, so
+// verify such results against the fused circuit (internal/fuse) instead
+// of the original.
 func Verify(circ *Circuit, res *CompileResult) *VerifyReport {
 	return verify.All(circ, res.Program, res.Initial)
-}
-
-// VerifyBatch verifies a whole corpus of compiled results at once,
-// simulating every state-vector oracle case through the batched engine
-// (internal/statevec.Batch) instead of one independent simulation per
-// item. Verdicts are bit-identical to calling Verify per item; the
-// returned stats aggregate the oracle work (workers <= 0 selects the
-// simulator's default parallelism).
-func VerifyBatch(items []VerifyItem, workers int) ([]*VerifyReport, VerifyOracleStats) {
-	return verify.AllBatch(items, verify.BatchOptions{Workers: workers})
 }
 
 // RenderLayout draws a layout as an ASCII occupancy grid (computation

@@ -96,7 +96,6 @@ curl -fsS -X POST "http://$ADDR/v1/compile?verify=1" \
   -H 'Content-Type: application/json' -d "$REQ" > "$TMP/svc-verify.json"
 grep -q '"verify"' "$TMP/svc-verify.json"
 grep -q '"violations": 0' "$TMP/svc-verify.json"
-grep -q '"equivalence_mode": "statevec"' "$TMP/svc-verify.json"
 "$TMP/powermove" -bench QFT -n 18 -json -stable -verify > "$TMP/cli-verify.json"
 cmp "$TMP/svc-verify.json" "$TMP/cli-verify.json"
 curl -fsS "http://$ADDR/metrics" > "$TMP/metrics3.json"
@@ -143,9 +142,9 @@ echo "service_smoke: async job result is byte-identical to the sync document"
 
 # --- Queue backpressure --------------------------------------------
 # A dedicated daemon with one worker and a one-slot queue: a slow batch
-# job (16 distinct verified 22-qubit compiles, several seconds on one
-# worker) occupies the worker, a second job fills the queue, and the
-# third submission must be shed with 429 + Retry-After + the stable
+# job (16 distinct Enola compiles of QFT-60..75, a few hundred ms each
+# on one worker) occupies the worker, a second job fills the queue, and
+# the third submission must be shed with 429 + Retry-After + the stable
 # queue_full error code.
 "$TMP/powermoved" -addr "$ADDR2" -workers 1 -queue-depth 1 &
 DAEMON2=$!
@@ -153,8 +152,8 @@ wait_up "$ADDR2"
 
 SLOW=$(python3 -c '
 import json
-reqs = [{"workload": {"family": "QSIM-rand", "qubits": 22, "seed": s},
-         "stable": True, "verify": True} for s in range(1, 17)]
+reqs = [{"workload": {"family": "QFT", "qubits": n}, "scheme": "enola",
+         "stable": True} for n in range(60, 76)]
 print(json.dumps({"batch": {"requests": reqs}}))')
 RID=$(curl -fsS -X POST "http://$ADDR2/v1/jobs" \
   -H 'Content-Type: application/json' -d "$SLOW" | job_field id)
