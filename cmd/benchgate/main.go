@@ -34,6 +34,12 @@
 // baseline in the same commit. The GOMAXPROCS suffix (`-8`) is stripped
 // from names so documents compare across machines with different core
 // counts.
+//
+// Each parsed document records its host: the CPU count, the GOMAXPROCS
+// the benches ran at (read from that suffix) and the Go version. -min
+// keeps the host when its inputs agree, and -compare prints both hosts
+// and warns when they differ, since calibration corrects for a slower
+// machine but not for a different core count or toolchain.
 package main
 
 import (
@@ -45,6 +51,7 @@ import (
 	"math"
 	"os"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -52,7 +59,34 @@ import (
 
 // Doc is one BENCH_*.json document: every benchmark of one run.
 type Doc struct {
+	// Host is the machine the run was measured on; nil when unrecorded.
+	Host       *Host   `json:"host,omitempty"`
 	Benchmarks []Bench `json:"benchmarks"`
+}
+
+// Host describes the machine and toolchain behind a document.
+type Host struct {
+	NumCPU     int    `json:"num_cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
+}
+
+// String renders the host, or "unrecorded" for a document without one.
+func (h *Host) String() string {
+	if h == nil {
+		return "unrecorded"
+	}
+	return fmt.Sprintf("%d CPUs, GOMAXPROCS %d, %s", h.NumCPU, h.GOMAXPROCS, h.GoVersion)
+}
+
+// hostReport renders the host lines of a comparison: both hosts, and a
+// warning when both are recorded and differ.
+func hostReport(base, cur *Host) string {
+	out := fmt.Sprintf("host: baseline %s; current %s\n", base, cur)
+	if base != nil && cur != nil && *base != *cur {
+		out += "benchgate: WARNING: the documents come from different hosts; calibration rescales machine speed only\n"
+	}
+	return out
 }
 
 // Bench is one benchmark's measurements: its wall-clock cost plus every
@@ -116,26 +150,32 @@ func main() {
 var cpuSuffix = regexp.MustCompile(`-(\d+)$`)
 
 // stripCPUSuffix normalizes names in place so documents compare across
-// machines with different core counts.
-func stripCPUSuffix(benchmarks []Bench) {
+// machines with different core counts. It returns the GOMAXPROCS the
+// marker named, or 1 when there was none.
+func stripCPUSuffix(benchmarks []Bench) int {
 	if len(benchmarks) == 0 {
-		return
+		return 1
 	}
 	shared := ""
 	for i, b := range benchmarks {
 		m := cpuSuffix.FindStringSubmatch(b.Name)
 		if m == nil {
-			return // some name has no trailing number: no uniform marker
+			return 1 // some name has no trailing number: no uniform marker
 		}
 		if i == 0 {
 			shared = m[1]
 		} else if m[1] != shared {
-			return // trailing numbers differ: they are bench data, not a marker
+			return 1 // trailing numbers differ: they are bench data, not a marker
 		}
 	}
 	for i := range benchmarks {
 		benchmarks[i].Name = strings.TrimSuffix(benchmarks[i].Name, "-"+shared)
 	}
+	procs, err := strconv.Atoi(shared)
+	if err != nil || procs < 1 {
+		return 1
+	}
+	return procs
 }
 
 // runParse converts benchmark output to a sorted JSON document.
@@ -205,7 +245,11 @@ func parseBenchOutput(r io.Reader) (*Doc, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	stripCPUSuffix(doc.Benchmarks)
+	doc.Host = &Host{
+		NumCPU:     runtime.NumCPU(),
+		GOMAXPROCS: stripCPUSuffix(doc.Benchmarks),
+		GoVersion:  runtime.Version(),
+	}
 	sort.Slice(doc.Benchmarks, func(i, j int) bool {
 		return doc.Benchmarks[i].Name < doc.Benchmarks[j].Name
 	})
@@ -214,17 +258,25 @@ func parseBenchOutput(r io.Reader) (*Doc, error) {
 
 // runMin merges parsed documents, keeping for each benchmark the entry
 // with the fastest ns/op (its quality metrics ride along; they are
-// deterministic, so any run's copy is the same).
+// deterministic, so any run's copy is the same). The merged document
+// keeps the inputs' host when they all record the same one.
 func runMin(paths []string, out string) error {
 	if len(paths) < 2 {
 		return fmt.Errorf("-min needs at least two documents, got %d", len(paths))
 	}
 	best := make(map[string]Bench)
 	var order []string
-	for _, path := range paths {
+	var host *Host
+	for i, path := range paths {
 		doc, err := readDoc(path)
 		if err != nil {
 			return err
+		}
+		switch {
+		case i == 0:
+			host = doc.Host
+		case host != nil && (doc.Host == nil || *doc.Host != *host):
+			host = nil
 		}
 		for _, b := range doc.Benchmarks {
 			prev, seen := best[b.Name]
@@ -237,7 +289,7 @@ func runMin(paths []string, out string) error {
 		}
 	}
 	sort.Strings(order)
-	merged := &Doc{Benchmarks: make([]Bench, 0, len(order))}
+	merged := &Doc{Host: host, Benchmarks: make([]Bench, 0, len(order))}
 	for _, name := range order {
 		merged.Benchmarks = append(merged.Benchmarks, best[name])
 	}
@@ -268,6 +320,7 @@ func runCompare(baselinePath, currentPath string, thresholdPct, minNs float64, c
 	if err != nil {
 		return false, err
 	}
+	fmt.Print(hostReport(base.Host, cur.Host))
 	baseByName := make(map[string]Bench, len(base.Benchmarks))
 	for _, b := range base.Benchmarks {
 		baseByName[b.Name] = b

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -80,6 +81,80 @@ BenchmarkTable3/QFT-18-8 	       1	   9000000 ns/op
 		if b.Name != want[i] {
 			t.Errorf("8-core name[%d] = %q, want %q", i, b.Name, want[i])
 		}
+	}
+}
+
+// TestParseRecordsHost: a parsed document records the host — the CPU
+// count and Go version of the parsing process, and the GOMAXPROCS the
+// name suffix carried before it was stripped, or 1 without one.
+func TestParseRecordsHost(t *testing.T) {
+	for _, tc := range []struct {
+		out   string
+		procs int
+	}{
+		{sampleOutput, 8},
+		{"BenchmarkTable2 \t 1\t 1514644 ns/op\nBenchmarkTable3/BV-14 \t 1\t 5167157 ns/op\n", 1},
+	} {
+		doc, err := parseBenchOutput(strings.NewReader(tc.out))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := Host{NumCPU: runtime.NumCPU(), GOMAXPROCS: tc.procs, GoVersion: runtime.Version()}
+		if doc.Host == nil || *doc.Host != want {
+			t.Errorf("host = %v, want %v", doc.Host, &want)
+		}
+	}
+}
+
+// TestMinKeepsAgreeingHost: -min keeps the host its inputs agree on and
+// drops it when they do not.
+func TestMinKeepsAgreeingHost(t *testing.T) {
+	h := &Host{NumCPU: 2, GOMAXPROCS: 2, GoVersion: "go1.24.0"}
+	other := &Host{NumCPU: 8, GOMAXPROCS: 8, GoVersion: "go1.24.0"}
+	doc := func(host *Host) string {
+		return writeDoc(t, &Doc{Host: host, Benchmarks: []Bench{{Name: "BenchmarkA", NsPerOp: 1}}})
+	}
+	for _, tc := range []struct {
+		hosts []*Host
+		want  *Host
+	}{
+		{[]*Host{h, h, h}, h},
+		{[]*Host{h, other}, nil},
+		{[]*Host{h, nil}, nil},
+		{[]*Host{nil, h}, nil},
+	} {
+		var paths []string
+		for _, host := range tc.hosts {
+			paths = append(paths, doc(host))
+		}
+		out := filepath.Join(t.TempDir(), "min.json")
+		if err := runMin(paths, out); err != nil {
+			t.Fatal(err)
+		}
+		merged, err := readDoc(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (merged.Host == nil) != (tc.want == nil) || (merged.Host != nil && *merged.Host != *tc.want) {
+			t.Errorf("hosts %v: merged host %v, want %v", tc.hosts, merged.Host, tc.want)
+		}
+	}
+}
+
+// TestCompareHostWarning: a comparison prints both hosts, "unrecorded"
+// for a document without one (the checked-in baseline), and warns only
+// when two recorded hosts differ.
+func TestCompareHostWarning(t *testing.T) {
+	h := &Host{NumCPU: 2, GOMAXPROCS: 2, GoVersion: "go1.24.0"}
+	other := &Host{NumCPU: 8, GOMAXPROCS: 8, GoVersion: "go1.24.0"}
+	if got := hostReport(nil, h); !strings.Contains(got, "baseline unrecorded; current 2 CPUs, GOMAXPROCS 2, go1.24.0") || strings.Contains(got, "WARNING") {
+		t.Errorf("unrecorded baseline: %q", got)
+	}
+	if got := hostReport(h, &Host{NumCPU: 2, GOMAXPROCS: 2, GoVersion: "go1.24.0"}); strings.Contains(got, "WARNING") {
+		t.Errorf("same host warned: %q", got)
+	}
+	if got := hostReport(h, other); !strings.Contains(got, "WARNING") {
+		t.Errorf("different hosts not warned: %q", got)
 	}
 }
 

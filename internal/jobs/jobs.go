@@ -35,7 +35,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -323,6 +325,9 @@ type Manager struct {
 	specSeq      int64
 	specCancels  map[int64]context.CancelFunc
 	speculations int64
+
+	// panics counts recovered Runner panics.
+	panics atomic.Int64
 }
 
 // NewManager starts a manager: Workers drainer goroutines plus the
@@ -559,9 +564,7 @@ func (m *Manager) startLocked(j *job, cancel context.CancelFunc) {
 // execute runs one job through the Runner and records its terminal
 // state.
 func (m *Manager) execute(ctx context.Context, j *job) {
-	out, err := m.cfg.Run(ctx, j.snapshot(true), func(done, total int) {
-		m.emitProgress(j, done, total)
-	})
+	out, err := m.run(ctx, j)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	j.cancel = nil
@@ -570,7 +573,8 @@ func (m *Manager) execute(ctx context.Context, j *job) {
 		m.finishLocked(j, StateCanceled, nil, &Error{Code: "canceled", Message: "job canceled"})
 	case err != nil:
 		code := "internal"
-		if m.cfg.CodeOf != nil {
+		var panicked *runnerPanic
+		if m.cfg.CodeOf != nil && !errors.As(err, &panicked) {
 			code = m.cfg.CodeOf(err)
 		}
 		m.finishLocked(j, StateFailed, nil, &Error{Code: code, Message: err.Error()})
@@ -578,6 +582,33 @@ func (m *Manager) execute(ctx context.Context, j *job) {
 		m.finishLocked(j, StateDone, out, nil)
 	}
 }
+
+// run calls the Runner. A panic inside it becomes the job's error, with
+// the stack, so one bad job fails instead of the process and every job
+// in flight.
+func (m *Manager) run(ctx context.Context, j *job) (out json.RawMessage, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			m.panics.Add(1)
+			out, err = nil, &runnerPanic{value: v, stack: debug.Stack()}
+		}
+	}()
+	return m.cfg.Run(ctx, j.snapshot(true), func(done, total int) {
+		m.emitProgress(j, done, total)
+	})
+}
+
+// runnerPanic is a recovered Runner panic. Its job fails with code
+// "internal" whatever Config.CodeOf says.
+type runnerPanic struct {
+	value any
+	stack []byte
+}
+
+func (p *runnerPanic) Error() string { return fmt.Sprintf("jobs: panic: %v\n%s", p.value, p.stack) }
+
+// Panics returns the number of Runner panics the manager has recovered.
+func (m *Manager) Panics() int64 { return m.panics.Load() }
 
 // finishLocked records a terminal state, notifies subscribers, and
 // settles followers: a done or failed leader releases them to run

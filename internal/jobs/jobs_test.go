@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -345,6 +346,38 @@ func TestFailedJob(t *testing.T) {
 	}
 	if met := m.Metrics(); met.Failed != 1 {
 		t.Errorf("failed counter = %d, want 1", met.Failed)
+	}
+}
+
+// TestRunnerPanicFailsOnlyThatJob: a Runner that panics on one job
+// marks that job failed with code "internal" — whatever CodeOf says —
+// and the one worker goes on to complete the next job.
+func TestRunnerPanicFailsOnlyThatJob(t *testing.T) {
+	m := NewManager(Config{Depth: 4, Workers: 1,
+		Run: func(ctx context.Context, snap Snapshot, progress func(int, int)) (json.RawMessage, error) {
+			if snap.Kind == "bad" {
+				panic("runner bug")
+			}
+			return json.RawMessage(`{"ok":true}`), nil
+		},
+		CodeOf: func(error) string { return "invalid_request" },
+	})
+	defer m.Close()
+	bad, err := m.Submit(Spec{Kind: "bad"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := m.Submit(Spec{Kind: "good"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	final := waitState(t, m, bad.ID, StateFailed)
+	if final.Error == nil || final.Error.Code != "internal" || !strings.Contains(final.Error.Message, "runner bug") {
+		t.Errorf("panicked job error = %+v", final.Error)
+	}
+	waitState(t, m, good.ID, StateDone)
+	if got := m.Panics(); got != 1 {
+		t.Errorf("Panics() = %d, want 1", got)
 	}
 }
 

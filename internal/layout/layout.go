@@ -1,12 +1,11 @@
 // Package layout tracks where every qubit sits on the zoned architecture
-// and enforces the occupancy rules of Sec. 5.1 of the paper: a site can
-// hold two interacting qubits, one non-interacting qubit, or be empty.
-//
-// The continuous router plans against a Layout, mutates it as it commits
-// movement decisions, and the executor re-validates the same invariants
-// independently at every Rydberg pulse. Occupancy lives in a flat slice
-// indexed by arch.SiteIndex — layout updates are on the compiler's
-// per-stage hot path.
+// (Sec. 5.1 of the paper). It records occupancy without enforcing the
+// pulse-time rule — two interacting qubits, one idle qubit, or none per
+// site — which internal/verify's Replay checks for both the executor and
+// the verifier (see Move). The continuous router plans against a Layout
+// and mutates it as it commits movement decisions. Occupancy lives in a
+// flat slice indexed by arch.SiteIndex — layout updates are on the
+// compiler's per-stage hot path.
 package layout
 
 import (
@@ -14,7 +13,6 @@ import (
 	"sort"
 
 	"powermove/internal/arch"
-	"powermove/internal/circuit"
 	"powermove/internal/geom"
 )
 
@@ -71,8 +69,14 @@ func (l *Layout) IndexOf(q int) int {
 // PosOf returns the physical position of qubit q, in micrometres.
 func (l *Layout) PosOf(q int) geom.Point { return l.arch.Pos(l.SiteOf(q)) }
 
-// Zone returns the zone qubit q currently sits in.
-func (l *Layout) Zone(q int) arch.Zone { return l.SiteOf(q).Zone }
+// Zone returns the zone qubit q currently sits in. Computation sites
+// come first in arch.SiteIndex order, so one comparison decides it.
+func (l *Layout) Zone(q int) arch.Zone {
+	if l.IndexOf(q) < l.arch.ComputeSites() {
+		return arch.Compute
+	}
+	return arch.Storage
+}
 
 // At returns the qubits occupying site s, sorted ascending. The returned
 // slice is owned by the layout and must not be mutated.
@@ -96,7 +100,8 @@ func (l *Layout) Place(q int, s arch.Site) {
 // Occupancy limits are deliberately not enforced here: a multi-step layout
 // transition may pass a qubit through a still-occupied site before its
 // resident departs in a later collective move. The two-qubits-per-site
-// rule is physical only at Rydberg pulses, where Validate enforces it.
+// rule is physical only at Rydberg pulses, where internal/verify's
+// Replay enforces it.
 func (l *Layout) Move(q int, s arch.Site) {
 	if !l.Placed(q) {
 		panic(fmt.Sprintf("layout: cannot move unplaced qubit %d", q))
@@ -130,7 +135,7 @@ func (l *Layout) detach(q int) {
 
 // BulkMove relocates several qubits at once: all movers are detached
 // before any is re-attached, so swaps and chains apply cleanly. Like Move,
-// it does not enforce occupancy limits; Validate does, at Rydberg time.
+// it does not enforce occupancy limits.
 func (l *Layout) BulkMove(targets map[int]arch.Site) {
 	order := make([]int, 0, len(targets))
 	for q := range targets {
@@ -221,48 +226,6 @@ func (l *Layout) EmptySitesByDistance(z arch.Zone, p geom.Point) []arch.Site {
 		return out[i].Col < out[j].Col
 	})
 	return out
-}
-
-// Validate checks the global occupancy invariants against the set of CZ
-// pairs scheduled for the next Rydberg pulse: every qubit placed in
-// bounds, no site with more than two qubits, and every doubly-occupied
-// site holding exactly one scheduled pair, co-located in the computation
-// zone. It returns the first violation found, or nil.
-func (l *Layout) Validate(pairs []circuit.CZ) error {
-	paired := make(map[int]int, 2*len(pairs))
-	for _, g := range pairs {
-		paired[g.A] = g.B
-		paired[g.B] = g.A
-	}
-	for q := range l.pos {
-		if !l.Placed(q) {
-			return fmt.Errorf("layout: qubit %d unplaced", q)
-		}
-	}
-	for idx, qs := range l.occ {
-		switch len(qs) {
-		case 0, 1:
-			// Empty sites and lone qubits are fine anywhere.
-		case 2:
-			s := l.arch.SiteAt(idx)
-			partner, ok := paired[qs[0]]
-			if !ok || partner != qs[1] {
-				return fmt.Errorf("layout: site %v holds non-interacting qubits %v", s, qs)
-			}
-			if s.Zone != arch.Compute {
-				return fmt.Errorf("layout: interacting pair %v at storage site %v", qs, s)
-			}
-		default:
-			return fmt.Errorf("layout: site %v holds %d qubits %v", l.arch.SiteAt(idx), len(qs), qs)
-		}
-	}
-	for _, g := range pairs {
-		sa, sb := l.SiteOf(g.A), l.SiteOf(g.B)
-		if sa != sb {
-			return fmt.Errorf("layout: pair %v split across %v and %v", g, sa, sb)
-		}
-	}
-	return nil
 }
 
 // PlaceAll places qubits 0..n-1 in row-major order starting from row 0 of

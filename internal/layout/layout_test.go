@@ -2,12 +2,10 @@ package layout
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 
 	"powermove/internal/arch"
-	"powermove/internal/circuit"
 )
 
 func testArch() *arch.Arch { return arch.New(arch.Config{Qubits: 9}) }
@@ -190,70 +188,6 @@ func TestEmptySitesByDistanceOrder(t *testing.T) {
 	if d := a.Pos(sites[0]).Dist(a.Pos(origin)); d != 15 {
 		t.Errorf("nearest empty at distance %v, want 15", d)
 	}
-}
-
-func TestValidateHappyPath(t *testing.T) {
-	l := New(testArch(), 4)
-	l.PlaceAll(arch.Compute)
-	pair := circuit.NewCZ(0, 1)
-	l.Move(0, l.SiteOf(1))
-	if err := l.Validate([]circuit.CZ{pair}); err != nil {
-		t.Fatalf("valid layout rejected: %v", err)
-	}
-}
-
-func TestValidateRejections(t *testing.T) {
-	a := testArch()
-
-	t.Run("unplaced qubit", func(t *testing.T) {
-		l := New(a, 2)
-		l.Place(0, arch.Site{Zone: arch.Compute, Row: 0, Col: 0})
-		if err := l.Validate(nil); err == nil || !strings.Contains(err.Error(), "unplaced") {
-			t.Errorf("err = %v", err)
-		}
-	})
-
-	t.Run("non-interacting cohabitants", func(t *testing.T) {
-		l := New(a, 2)
-		s := arch.Site{Zone: arch.Compute, Row: 0, Col: 0}
-		l.Place(0, s)
-		l.Place(1, s)
-		if err := l.Validate(nil); err == nil || !strings.Contains(err.Error(), "non-interacting") {
-			t.Errorf("err = %v", err)
-		}
-	})
-
-	t.Run("pair in storage", func(t *testing.T) {
-		l := New(a, 2)
-		s := arch.Site{Zone: arch.Storage, Row: 0, Col: 0}
-		l.Place(0, s)
-		l.Place(1, s)
-		err := l.Validate([]circuit.CZ{circuit.NewCZ(0, 1)})
-		if err == nil || !strings.Contains(err.Error(), "storage") {
-			t.Errorf("err = %v", err)
-		}
-	})
-
-	t.Run("overfull site", func(t *testing.T) {
-		l := New(a, 3)
-		s := arch.Site{Zone: arch.Compute, Row: 0, Col: 0}
-		for q := 0; q < 3; q++ {
-			l.Place(q, s)
-		}
-		err := l.Validate([]circuit.CZ{circuit.NewCZ(0, 1)})
-		if err == nil || !strings.Contains(err.Error(), "3 qubits") {
-			t.Errorf("err = %v", err)
-		}
-	})
-
-	t.Run("split pair", func(t *testing.T) {
-		l := New(a, 2)
-		l.PlaceAll(arch.Compute)
-		err := l.Validate([]circuit.CZ{circuit.NewCZ(0, 1)})
-		if err == nil || !strings.Contains(err.Error(), "split") {
-			t.Errorf("err = %v", err)
-		}
-	})
 }
 
 func TestNewPanicsOnBadCount(t *testing.T) {

@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -74,7 +75,10 @@ type Key struct {
 	Grouping string
 	// Verify runs the differential verification subsystem
 	// (internal/verify) over the compiled program and attaches its
-	// summary to the outcome. It is part of the key because a verified
+	// summary to the outcome. Physical legality needs no extra pass:
+	// the executor replays every compile under the verifier's rules and
+	// fails the job on any violation, so a verified job adds the
+	// equivalence walk. It is part of the key because a verified
 	// outcome carries data an unverified one lacks; the verification
 	// itself is deterministic, so verified outcomes cache like any
 	// other.
@@ -259,7 +263,24 @@ type Cache struct {
 	// before computing, written through after a fresh computation. Set
 	// before concurrent use (SetTier); read without synchronization.
 	tier Tier
+	// panics counts computations that panicked (see PanicError).
+	panics atomic.Int64
 }
+
+// Panics returns the number of computations through this cache that
+// panicked and were recovered into a PanicError.
+func (c *Cache) Panics() int64 { return c.panics.Load() }
+
+// PanicError is a panic recovered from one job's compile. The job fails
+// with it instead of taking the process down with every job in flight.
+type PanicError struct {
+	// Value is what the compile panicked with.
+	Value any
+	// Stack is the panicking goroutine's stack.
+	Stack []byte
+}
+
+func (e *PanicError) Error() string { return fmt.Sprintf("pipeline: panic: %v\n%s", e.Value, e.Stack) }
 
 type cacheEntry struct {
 	once    sync.Once
@@ -313,8 +334,9 @@ func (c *Cache) Stats() cache.Stats { return c.ensure().Stats() }
 // rather than computed: either the entry already existed (possibly still
 // in flight on another goroutine, in which case the call blocks until
 // that computation finishes) or the second tier had it. Fresh
-// computations are written through to the tier; cancellation errors are
-// evicted so a canceled request never poisons the key for later callers.
+// computations are written through to the tier; cancellation errors and
+// recovered panics are evicted so neither poisons the key for later
+// callers.
 func (c *Cache) getOrCompute(key Key, canon string, compute func() (Outcome, error)) (Outcome, error, bool) {
 	e, hit := c.ensure().GetOrAdd(key, func() *cacheEntry { return &cacheEntry{} })
 	e.once.Do(func() {
@@ -329,7 +351,8 @@ func (c *Cache) getOrCompute(key Key, canon string, compute func() (Outcome, err
 			c.tier.Put(key, canon, e.outcome)
 		}
 	})
-	if e.err != nil && (errors.Is(e.err, context.Canceled) || errors.Is(e.err, context.DeadlineExceeded)) {
+	var panicked *PanicError
+	if e.err != nil && (errors.Is(e.err, context.Canceled) || errors.Is(e.err, context.DeadlineExceeded) || errors.As(e.err, &panicked)) {
 		// Best-effort eviction: a concurrently re-added fresh entry may
 		// be dropped too, costing only a recompute later.
 		c.lru.Remove(key)
@@ -442,7 +465,16 @@ func runJob(job Job, cache *Cache, snaps *SnapshotStore, compiles, hits *atomic.
 	if job.Canon == "" {
 		job.Canon = job.Key.String()
 	}
-	outcome, err, hit := cache.getOrCompute(job.Key, job.Canon, func() (Outcome, error) {
+	outcome, err, hit := cache.getOrCompute(job.Key, job.Canon, func() (o Outcome, err error) {
+		// The recover sits inside the entry's once: sync.Once counts a
+		// panicking function as done, so a recover further out would
+		// leave the entry holding a zero Outcome and a nil error.
+		defer func() {
+			if v := recover(); v != nil {
+				cache.panics.Add(1)
+				o, err = Outcome{}, &PanicError{Value: v, Stack: debug.Stack()}
+			}
+		}()
 		compiles.Add(1)
 		return execute(job, snaps)
 	})
@@ -460,9 +492,9 @@ func runJob(job Job, cache *Cache, snaps *SnapshotStore, compiles, hits *atomic.
 
 // execute runs one job end to end: generate, build the key's pipeline
 // on the shared pass-manager driver, compile (through the snapshot
-// store when one is installed and the pipeline is resumable), simulate,
-// and — when the key asks for it — verify the compiled program
-// differentially.
+// store when one is installed and the pipeline is resumable), simulate
+// (which fails on any physical violation), and — when the key asks for
+// it — verify the compiled program's equivalence with its circuit.
 func execute(job Job, snaps *SnapshotStore) (Outcome, error) {
 	circ, err := job.Circuit()
 	if err != nil {
@@ -491,7 +523,10 @@ func execute(job Job, snaps *SnapshotStore) (Outcome, error) {
 		return out, err
 	}
 	if job.Key.Verify {
-		out.Verify = verify.All(circ, res.Program, res.Initial).Summary()
+		// A clean execution is the physical check: the executor replays
+		// the program under the verifier's rule set and fails on any
+		// violation. What is left to verify is equivalence.
+		out.Verify = verify.CheckEquivalence(circ, res.Program).Summary()
 	}
 	return out, nil
 }

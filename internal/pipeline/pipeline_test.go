@@ -234,6 +234,44 @@ func TestJobErrors(t *testing.T) {
 	}
 }
 
+// TestJobPanicFailsOnlyThatJob: a job whose circuit generator panics
+// fails with a PanicError carrying the stack, the run's other jobs
+// finish, and the panicked entry is evicted — a second Run on the same
+// cache panics and fails again instead of serving a zero Outcome.
+func TestJobPanicFailsOnlyThatJob(t *testing.T) {
+	var calls atomic.Int64
+	bad := pipeline.NewJob("panics", pipeline.WithStorage, 1, func() (*circuit.Circuit, error) {
+		calls.Add(1)
+		panic("generator bug")
+	})
+	jobs := append([]pipeline.Job{bad}, slice()...)
+	cache := pipeline.NewCache()
+	for run := 1; run <= 2; run++ {
+		results, _, err := pipeline.Run(context.Background(), jobs, pipeline.Options{Workers: 4, Cache: cache})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pe *pipeline.PanicError
+		if !errors.As(results[0].Err, &pe) || pe.Value != "generator bug" || len(pe.Stack) == 0 {
+			t.Fatalf("run %d: panicking job returned %v, want a PanicError with its stack", run, results[0].Err)
+		}
+		if !reflect.DeepEqual(results[0].Outcome, pipeline.Outcome{}) || results[0].Cached {
+			t.Fatalf("run %d: panicking job served %+v (cached %v)", run, results[0].Outcome, results[0].Cached)
+		}
+		for _, r := range results[1:] {
+			if r.Err != nil || r.Outcome.Fidelity <= 0 {
+				t.Fatalf("run %d: %s failed alongside the panicking job: %v", run, r.Key, r.Err)
+			}
+		}
+		if got := cache.Panics(); got != int64(run) {
+			t.Fatalf("run %d: Panics() = %d, want %d", run, got, run)
+		}
+	}
+	if calls.Load() != 2 {
+		t.Fatalf("generator ran %d times, want once per run", calls.Load())
+	}
+}
+
 // TestMatchesSerialReference cross-checks the engine against the
 // experiments package's serial per-row entry point.
 func TestMatchesSerialReference(t *testing.T) {

@@ -289,6 +289,10 @@ type MetricsSnapshot struct {
 	// Deduped counts /v1/compile requests that joined a concurrent
 	// identical request through the singleflight group.
 	Deduped int64 `json:"deduped"`
+	// Panics counts panics recovered at the compile boundary (the
+	// pipeline's per-job compute) and the job boundary (the async
+	// Runner). Each failed one job or request instead of the process.
+	Panics int64 `json:"panics"`
 	// Mem is the process's allocation accounting.
 	Mem MemCounters `json:"mem"`
 	// Endpoints is the per-endpoint request/latency ledger.
@@ -323,6 +327,7 @@ func (s *Server) Metrics() MetricsSnapshot {
 		Cache:    s.cache.Stats(),
 		Compiles: s.compiles.Load(),
 		Deduped:  s.flight.joins.Load(),
+		Panics:   s.cache.Panics() + s.jobs.Panics(),
 		Mem: MemCounters{
 			HeapAllocBytes:  ms.HeapAlloc,
 			TotalAllocBytes: ms.TotalAlloc,

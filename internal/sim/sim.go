@@ -1,17 +1,16 @@
 // Package sim executes compiled programs against the zoned-architecture
 // hardware model and produces the paper's three evaluation metrics
 // (Sec. 2.2 and Sec. 7): output fidelity (Equation 1), execution time,
-// and the raw event counts behind both. The executor doubles as a validator: it re-checks every
-// hardware constraint independently of the compiler — AOD ordering
-// constraints within each collective move, trap-occupancy rules at every
-// step, and co-location of every scheduled CZ pair at every Rydberg pulse —
-// so a compiler bug that emits an illegal program fails execution instead
-// of silently producing flattering numbers.
+// and the raw event counts behind both. The executor re-checks every
+// hardware constraint independently of the compiler: it walks the
+// program with internal/verify's Replay, the one implementation of the
+// physical rules that CheckPhysical also runs, and fails on the first
+// violation. A compiler bug that emits an illegal program therefore
+// fails execution instead of producing flattering numbers.
 package sim
 
 import (
 	"fmt"
-	"slices"
 
 	"powermove/internal/arch"
 	"powermove/internal/fidelity"
@@ -19,6 +18,7 @@ import (
 	"powermove/internal/layout"
 	"powermove/internal/phys"
 	"powermove/internal/trace"
+	"powermove/internal/verify"
 )
 
 // Breakdown decomposes execution time by activity, in microseconds.
@@ -52,8 +52,9 @@ type Result struct {
 }
 
 // Execute runs prog starting from the given initial layout. The layout is
-// cloned; the caller's copy is not modified. Execution fails with a
-// descriptive error on the first constraint violation.
+// cloned; the caller's copy is not modified. Execution fails on the first
+// constraint violation; the error wraps that verify.Violation, which
+// errors.As recovers.
 func Execute(prog *isa.Program, initial *layout.Layout) (*Result, error) {
 	return run(prog, initial, nil)
 }
@@ -62,55 +63,45 @@ func Execute(prog *isa.Program, initial *layout.Layout) (*Result, error) {
 // execution timeline: one trace event per instruction with its start
 // time, duration, and involved qubits.
 func ExecuteWithTrace(prog *isa.Program, initial *layout.Layout) (*Result, *trace.Trace, error) {
-	tr := &trace.Trace{Program: prog.Name, Qubits: prog.Qubits}
+	tr := &trace.Trace{}
 	res, err := run(prog, initial, tr)
 	if err != nil {
 		return nil, nil, err
 	}
+	tr.Program, tr.Qubits = prog.Name, prog.Qubits
 	return res, tr, nil
 }
 
-// scratch holds the executor's per-instruction working sets, allocated
-// once per run and reused across the hundreds of move batches and Rydberg
-// pulses of a program. Masks are unset entry-by-entry after use instead of
-// cleared wholesale, so a batch that moves two qubits touches two entries.
-type scratch struct {
-	movedMask   []bool      // batch-scoped mover mask
-	movers      []qubitSite // movers of the current batch, insertion order
-	moveQ       []int       // BulkMoveSorted argument buffers
-	moveS       []arch.Site
-	interacting []bool // pulse-scoped interacting-qubit mask
-}
-
-// qubitSite is one mover's destination.
-type qubitSite struct {
-	q int
-	s arch.Site
-}
-
 func run(prog *isa.Program, initial *layout.Layout, tr *trace.Trace) (*Result, error) {
-	if prog.Qubits != initial.Qubits() {
-		return nil, fmt.Errorf("sim: program has %d qubits, layout has %d", prog.Qubits, initial.Qubits())
+	var first verify.Violation
+	rp := verify.NewReplay(prog, initial, func(v verify.Violation) bool {
+		first = v
+		return false
+	})
+	if rp == nil {
+		return nil, fmt.Errorf("sim: %w", first)
 	}
-	l := initial.Clone()
+	l := rp.Layout()
 	res := &Result{Final: l}
 	res.Counts.IdleTime = make([]float64, l.Qubits())
-	sc := &scratch{
-		movedMask:   make([]bool, l.Qubits()),
-		interacting: make([]bool, l.Qubits()),
-	}
 
 	for idx, in := range prog.Instr {
+		if !rp.Step(idx, in) {
+			mnemonic := "nil"
+			if in != nil {
+				mnemonic = in.Mnemonic()
+			}
+			return nil, fmt.Errorf("sim: instruction %d (%s): %w", idx, mnemonic, first)
+		}
 		before := res.Breakdown.Total()
-		var err error
 		var kind trace.Kind
 		var qubits []int
 		switch in := in.(type) {
 		case isa.OneQLayer:
-			err = execOneQ(in, l, res)
+			execOneQ(in, res)
 			kind = trace.KindOneQ
 		case isa.MoveBatch:
-			err = execMoveBatch(in, l, res, sc)
+			execMoveBatch(in, rp, res)
 			kind = trace.KindMove
 			if tr != nil {
 				for _, g := range in.Groups {
@@ -120,18 +111,13 @@ func run(prog *isa.Program, initial *layout.Layout, tr *trace.Trace) (*Result, e
 				}
 			}
 		case isa.Rydberg:
-			err = execRydberg(in, l, res, sc)
+			execRydberg(in, rp, res)
 			kind = trace.KindRydberg
 			if tr != nil {
 				for _, p := range in.Pairs {
 					qubits = append(qubits, p.A, p.B)
 				}
 			}
-		default:
-			err = fmt.Errorf("unknown instruction type %T", in)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("sim: instruction %d (%s): %w", idx, in.Mnemonic(), err)
 		}
 		if tr != nil {
 			tr.Add(trace.Event{
@@ -155,106 +141,38 @@ func run(prog *isa.Program, initial *layout.Layout, tr *trace.Trace) (*Result, e
 // computation zone are being driven (or are addressable and idle for only
 // the layer's 1 us), so the layer contributes gate count but no idle time;
 // storage-zone qubits are shielded as always.
-func execOneQ(in isa.OneQLayer, l *layout.Layout, res *Result) error {
-	if in.Count < 0 {
-		return fmt.Errorf("negative 1Q gate count %d", in.Count)
-	}
+func execOneQ(in isa.OneQLayer, res *Result) {
 	res.Counts.OneQGates += in.Count
 	res.Breakdown.OneQ += phys.DurationOneQubit
-	return nil
 }
 
-// execMoveBatch validates and applies one parallel movement batch.
-func execMoveBatch(in isa.MoveBatch, l *layout.Layout, res *Result, sc *scratch) error {
-	if len(in.Groups) == 0 {
-		return fmt.Errorf("empty move batch")
-	}
-	sc.movers = sc.movers[:0]
-	for aod, g := range in.Groups {
-		if !g.Valid() {
-			return fmt.Errorf("AOD %d: conflicting moves within one collective move", aod)
-		}
-		for _, m := range g.Moves {
-			if m.Qubit < 0 || m.Qubit >= l.Qubits() {
-				return fmt.Errorf("AOD %d: move references qubit %d", aod, m.Qubit)
-			}
-			if sc.movedMask[m.Qubit] {
-				return fmt.Errorf("AOD %d: qubit %d moved twice in one batch", aod, m.Qubit)
-			}
-			if got := l.SiteOf(m.Qubit); got != m.FromSite {
-				return fmt.Errorf("AOD %d: qubit %d is at %v, move expects %v", aod, m.Qubit, got, m.FromSite)
-			}
-			if !l.Arch().InBounds(m.ToSite) {
-				return fmt.Errorf("AOD %d: qubit %d target %v out of bounds", aod, m.Qubit, m.ToSite)
-			}
-			sc.movedMask[m.Qubit] = true
-			sc.movers = append(sc.movers, qubitSite{q: m.Qubit, s: m.ToSite})
-		}
-	}
-
+// execMoveBatch accounts for one replayed movement batch: storage-resident
+// qubits that do not move are shielded for the whole batch; everyone else
+// (movers in transit, computation-zone residents) idles for its duration.
+// A non-mover sits in the same zone before and after the batch, so the
+// replay layout after the batch decides it.
+func execMoveBatch(in isa.MoveBatch, rp *verify.Replay, res *Result) {
 	dur := in.Duration()
-	// Decoherence: storage-resident qubits that do not move are
-	// shielded for the whole batch; everyone else (movers in transit,
-	// computation-zone residents) idles for the batch duration.
+	l := rp.Layout()
 	for q := 0; q < l.Qubits(); q++ {
-		if !sc.movedMask[q] && l.Zone(q) == arch.Storage {
+		if !rp.Touched(q) && l.Zone(q) == arch.Storage {
 			continue
 		}
 		res.Counts.IdleTime[q] += dur
 	}
-
-	// BulkMoveSorted wants ascending qubit order — the same order
-	// BulkMove's map variant attaches in.
-	slices.SortFunc(sc.movers, func(a, b qubitSite) int { return a.q - b.q })
-	for _, mv := range sc.movers {
-		sc.movedMask[mv.q] = false
-	}
-	if len(sc.movers) > 0 {
-		if cap(sc.moveQ) < len(sc.movers) {
-			sc.moveQ = make([]int, 0, l.Qubits())
-			sc.moveS = make([]arch.Site, 0, l.Qubits())
-		}
-		sc.moveQ = sc.moveQ[:0]
-		sc.moveS = sc.moveS[:0]
-		for _, mv := range sc.movers {
-			sc.moveQ = append(sc.moveQ, mv.q)
-			sc.moveS = append(sc.moveS, mv.s)
-		}
-		l.BulkMoveSorted(sc.moveQ, sc.moveS)
-	}
-	res.Counts.Transfers += 2 * len(sc.movers)
+	res.Counts.Transfers += 2 * in.MovedQubits()
 	res.Breakdown.Move += dur - 2*phys.DurationTransfer
 	res.Breakdown.Transfer += 2 * phys.DurationTransfer
 	res.MoveBatches++
-	return nil
 }
 
-// execRydberg validates co-location and occupancy, then fires the global
-// pulse: scheduled pairs gain a CZ each, idle computation-zone qubits gain
-// one excitation-error event each, and storage-zone qubits are untouched.
-func execRydberg(in isa.Rydberg, l *layout.Layout, res *Result, sc *scratch) error {
-	if len(in.Pairs) == 0 {
-		return fmt.Errorf("Rydberg pulse with no gates")
-	}
-	if err := l.Validate(in.Pairs); err != nil {
-		return err
-	}
-	// The interacting mask is pulse-scoped scratch; entries are unset
-	// again below (cheaper than clearing the whole slice per pulse).
-	interacting := sc.interacting
-	for _, g := range in.Pairs {
-		if interacting[g.A] || interacting[g.B] {
-			for _, h := range in.Pairs {
-				interacting[h.A], interacting[h.B] = false, false
-			}
-			return fmt.Errorf("qubit reused within stage %d", in.Stage)
-		}
-		interacting[g.A] = true
-		interacting[g.B] = true
-	}
-
+// execRydberg fires one replayed global pulse: scheduled pairs gain a CZ
+// each, idle computation-zone qubits gain one excitation-error event
+// each, and storage-zone qubits are untouched.
+func execRydberg(in isa.Rydberg, rp *verify.Replay, res *Result) {
+	l := rp.Layout()
 	for q := 0; q < l.Qubits(); q++ {
-		if interacting[q] {
+		if rp.Touched(q) {
 			continue // being operated on: no idle, no excitation error
 		}
 		if l.Zone(q) == arch.Compute {
@@ -262,12 +180,8 @@ func execRydberg(in isa.Rydberg, l *layout.Layout, res *Result, sc *scratch) err
 			res.Counts.IdleTime[q] += phys.DurationCZ
 		}
 	}
-	for _, g := range in.Pairs {
-		interacting[g.A], interacting[g.B] = false, false
-	}
 	res.Counts.CZGates += len(in.Pairs)
 	res.Counts.Excitations++
 	res.Breakdown.Rydberg += phys.DurationCZ
 	res.Stages++
-	return nil
 }

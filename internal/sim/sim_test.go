@@ -1,8 +1,8 @@
 package sim
 
 import (
+	"errors"
 	"math"
-	"strings"
 	"testing"
 
 	"powermove/internal/arch"
@@ -11,6 +11,7 @@ import (
 	"powermove/internal/layout"
 	"powermove/internal/move"
 	"powermove/internal/phys"
+	"powermove/internal/verify"
 )
 
 // fixture builds a 4-qubit machine with everyone home in the compute zone.
@@ -154,18 +155,26 @@ func TestIntraStageOrderingMatters(t *testing.T) {
 	}
 }
 
-func mustFail(t *testing.T, prog *isa.Program, l *layout.Layout, wantSubstr string) {
+// mustFail runs prog and requires execution to fail with a wrapped
+// verify.Violation of the given code.
+func mustFail(t *testing.T, prog *isa.Program, l *layout.Layout, want verify.Code) {
 	t.Helper()
-	if _, err := Execute(prog, l); err == nil {
-		t.Fatalf("program accepted, want error containing %q", wantSubstr)
-	} else if !strings.Contains(err.Error(), wantSubstr) {
-		t.Fatalf("err = %v, want substring %q", err, wantSubstr)
+	_, err := Execute(prog, l)
+	if err == nil {
+		t.Fatalf("program accepted, want %s", want)
+	}
+	var v verify.Violation
+	if !errors.As(err, &v) {
+		t.Fatalf("err = %v, wraps no verify.Violation", err)
+	}
+	if v.Code != want {
+		t.Fatalf("err = %v, want code %s", err, want)
 	}
 }
 
 func TestExecuteRejectsQubitCountMismatch(t *testing.T) {
 	_, l := fixture()
-	mustFail(t, &isa.Program{Name: "bad", Qubits: 5}, l, "5 qubits")
+	mustFail(t, &isa.Program{Name: "bad", Qubits: 5}, l, verify.OutOfBounds)
 }
 
 func TestExecuteRejectsConflictingGroup(t *testing.T) {
@@ -175,43 +184,46 @@ func TestExecuteRejectsConflictingGroup(t *testing.T) {
 	prog := &isa.Program{Name: "conflict", Qubits: 4, Instr: []isa.Instruction{
 		batchOf(cross1, cross2),
 	}}
-	mustFail(t, prog, l, "conflicting moves")
+	mustFail(t, prog, l, verify.AODConflict)
 }
 
 func TestExecuteRejectsStaleSource(t *testing.T) {
 	a, l := fixture()
 	wrong := move.New(a, 0, computeSite(1, 1), computeSite(0, 1)) // q0 is at (0,0)
 	prog := &isa.Program{Name: "stale", Qubits: 4, Instr: []isa.Instruction{batchOf(wrong)}}
-	mustFail(t, prog, l, "move expects")
+	mustFail(t, prog, l, verify.StaleSource)
 }
 
 func TestExecuteRejectsDoubleMove(t *testing.T) {
-	a, l := fixture()
+	// Two AOD arrays, so the two groups themselves are legal.
+	a := arch.New(arch.Config{Qubits: 4, AODs: 2})
+	l := layout.New(a, 4)
+	l.PlaceAll(arch.Compute)
 	m1 := move.New(a, 0, computeSite(0, 0), computeSite(1, 0))
 	m2 := move.New(a, 0, computeSite(0, 0), computeSite(0, 1))
 	p := &isa.Program{Name: "twice", Qubits: 4, Instr: []isa.Instruction{
 		isa.MoveBatch{Groups: []move.CollMove{{Moves: []move.Move{m1}}, {Moves: []move.Move{m2}}}},
 	}}
-	mustFail(t, p, l, "moved twice")
+	mustFail(t, p, l, verify.DoubleMove)
 }
 
 func TestExecuteRejectsBadQubitInMove(t *testing.T) {
 	a, l := fixture()
 	m := move.New(a, 9, computeSite(0, 0), computeSite(0, 1))
 	prog := &isa.Program{Name: "ghost", Qubits: 4, Instr: []isa.Instruction{batchOf(m)}}
-	mustFail(t, prog, l, "references qubit")
+	mustFail(t, prog, l, verify.OutOfBounds)
 }
 
 func TestExecuteRejectsEmptyBatch(t *testing.T) {
 	_, l := fixture()
 	prog := &isa.Program{Name: "empty", Qubits: 4, Instr: []isa.Instruction{isa.MoveBatch{}}}
-	mustFail(t, prog, l, "empty move batch")
+	mustFail(t, prog, l, verify.EmptyInstr)
 }
 
 func TestExecuteRejectsEmptyPulse(t *testing.T) {
 	_, l := fixture()
 	prog := &isa.Program{Name: "nopulse", Qubits: 4, Instr: []isa.Instruction{isa.Rydberg{}}}
-	mustFail(t, prog, l, "no gates")
+	mustFail(t, prog, l, verify.EmptyInstr)
 }
 
 func TestExecuteRejectsSplitPair(t *testing.T) {
@@ -219,13 +231,12 @@ func TestExecuteRejectsSplitPair(t *testing.T) {
 	prog := &isa.Program{Name: "split", Qubits: 4, Instr: []isa.Instruction{
 		isa.Rydberg{Pairs: []circuit.CZ{circuit.NewCZ(0, 1)}},
 	}}
-	mustFail(t, prog, l, "split")
+	mustFail(t, prog, l, verify.SplitPair)
 }
 
 func TestExecuteRejectsClustering(t *testing.T) {
 	a, l := fixture()
-	// Move q2 onto q0's site, then pulse on (0,1): site (0,0) now holds
-	// the non-interacting cohabitants 0 and 2.
+	// Move q2 onto q0's site and q1 onto q3's.
 	m := move.New(a, 2, computeSite(1, 0), computeSite(0, 0))
 	m2 := move.New(a, 1, computeSite(0, 1), computeSite(1, 1))
 	prog := &isa.Program{Name: "cluster", Qubits: 4, Instr: []isa.Instruction{
@@ -233,19 +244,20 @@ func TestExecuteRejectsClustering(t *testing.T) {
 		isa.Rydberg{Pairs: []circuit.CZ{circuit.NewCZ(0, 2), circuit.NewCZ(1, 3)}},
 	}}
 	// This one is legal (pairs co-located); now make it illegal by
-	// pulsing a different pair set.
+	// pulsing only (1, 3): site (0,0) holds the non-interacting
+	// cohabitants 0 and 2.
 	if _, err := Execute(prog, l); err != nil {
 		t.Fatalf("setup program rejected: %v", err)
 	}
 	bad := &isa.Program{Name: "cluster-bad", Qubits: 4, Instr: []isa.Instruction{
-		batchOf(m),
+		batchOf(m), batchOf(m2),
 		isa.Rydberg{Pairs: []circuit.CZ{circuit.NewCZ(1, 3)}},
 	}}
-	mustFail(t, bad, l, "non-interacting")
+	mustFail(t, bad, l, verify.StrayPair)
 }
 
 func TestExecuteRejectsQubitReuseInStage(t *testing.T) {
-	// The only qubit reuse that survives layout validation is a
+	// The only qubit reuse that survives the occupancy rules is a
 	// duplicated pair (a qubit cannot co-locate with two partners at
 	// once); the executor must still reject it.
 	a, l := fixture()
@@ -254,13 +266,13 @@ func TestExecuteRejectsQubitReuseInStage(t *testing.T) {
 		batchOf(m),
 		isa.Rydberg{Pairs: []circuit.CZ{circuit.NewCZ(0, 1), circuit.NewCZ(0, 1)}},
 	}}
-	mustFail(t, prog, l, "reused")
+	mustFail(t, prog, l, verify.QubitReuse)
 }
 
 func TestExecuteRejectsNegativeOneQ(t *testing.T) {
 	_, l := fixture()
 	prog := &isa.Program{Name: "neg", Qubits: 4, Instr: []isa.Instruction{isa.OneQLayer{Count: -1}}}
-	mustFail(t, prog, l, "negative")
+	mustFail(t, prog, l, verify.EmptyInstr)
 }
 
 func TestExecuteRejectsPairInStorage(t *testing.T) {
@@ -271,7 +283,7 @@ func TestExecuteRejectsPairInStorage(t *testing.T) {
 		batchOf(m0), batchOf(m1),
 		isa.Rydberg{Pairs: []circuit.CZ{circuit.NewCZ(0, 1)}},
 	}}
-	mustFail(t, prog, l, "storage")
+	mustFail(t, prog, l, verify.StorageInteraction)
 }
 
 func TestBreakdownSumsToTotal(t *testing.T) {

@@ -1,18 +1,14 @@
 // Package verify is the compiler's differential verification subsystem:
-// it proves — independently of both the compiler and the executor — that
-// a compiled program is *legal* for its target hardware and *means* the
-// circuit it was compiled from.
+// it proves — independently of the compiler — that a compiled program is
+// *legal* for its target hardware and *means* the circuit it was
+// compiled from.
 //
 // Two checkers cover the two halves of that claim:
 //
 //   - CheckPhysical replays the instruction stream against the arch
-//     model and reports every physical-constraint violation as a
-//     structured Violation: AOD row/column order inversions within a
-//     collective move (Sec. 5.3 / Fig. 5), more simultaneous groups
-//     than AOD arrays, trap double-occupancy and stray pairs at Rydberg
-//     pulses (Sec. 5.1), interaction-zone spacing breaches (Rydberg
-//     blockade, Table 1), and stage-transition inconsistencies (a move
-//     departing from a site its qubit does not occupy).
+//     model and reports every physical-constraint violation (AOD order
+//     and capacity, move endpoints, trap occupancy, pairing and
+//     blockade spacing at each pulse) as a structured Violation.
 //   - CheckEquivalence proves semantic equivalence with the source
 //     circuit by one structural walk, exact at every register size:
 //     each block's CZ gates must run in block order as a multiset
@@ -20,24 +16,22 @@
 //     between the previous block's last pulse and the block's first
 //     (equivalence.go gives the reason no simulation is needed).
 //
-// Unlike internal/sim — which fail-stops on the first illegal
-// instruction — the verifier is best-effort and exhaustive: it keeps
-// replaying past violations and returns them all, which is what makes
-// its reports useful as fuzzing oracles (FuzzCompileVerify) and as
-// production diagnostics behind the daemon's verify mode.
+// The physical rules exist once, in Replay (replay.go): one replay, two
+// sinks. CheckPhysical's sink collects every violation and the replay
+// goes on past each one, which is what makes its reports useful as
+// fuzzing oracles (FuzzCompileVerify) and as diagnostics. The executor,
+// internal/sim, replays with a sink that stops at the first violation,
+// so every fidelity and execution time it reports belongs to a program
+// that passed the same rules.
 package verify
 
 import (
 	"fmt"
 	"strings"
 
-	"powermove/internal/arch"
 	"powermove/internal/circuit"
-	"powermove/internal/geom"
 	"powermove/internal/isa"
 	"powermove/internal/layout"
-	"powermove/internal/move"
-	"powermove/internal/phys"
 )
 
 // Code classifies one violation kind. Codes are stable strings so
@@ -113,6 +107,10 @@ type Violation struct {
 	// Detail is the human-readable specifics.
 	Detail string `json:"detail"`
 }
+
+// Error implements error, so a Violation can be wrapped and recovered
+// with errors.As.
+func (v Violation) Error() string { return v.String() }
 
 // String implements fmt.Stringer.
 func (v Violation) String() string {
@@ -203,175 +201,28 @@ func All(circ *circuit.Circuit, prog *isa.Program, initial *layout.Layout) *Repo
 }
 
 // CheckPhysical replays prog from initial against the architecture model
-// and reports every physical-constraint violation. The replay is
-// best-effort: a violating move is still applied when its target is
-// representable, so one early inconsistency does not cascade into a
-// avalanche of derived findings.
+// and reports every physical-constraint violation, in replay order. The
+// replay is best-effort: a violating move is still applied when its
+// endpoints are in bounds, so one early inconsistency does not cascade
+// into an avalanche of derived findings.
 func CheckPhysical(prog *isa.Program, initial *layout.Layout) *Report {
 	r := &Report{}
-	if prog == nil || initial == nil {
-		r.add(EmptyInstr, -1, nil, "nil program or initial layout")
+	rp := NewReplay(prog, initial, func(v Violation) bool {
+		r.Violations = append(r.Violations, v)
+		return true
+	})
+	if rp == nil {
 		return r
 	}
-	if prog.Qubits != initial.Qubits() {
-		r.add(OutOfBounds, -1, nil, "program has %d qubits, layout tracks %d", prog.Qubits, initial.Qubits())
-		return r
-	}
-	for q := 0; q < initial.Qubits(); q++ {
-		if !initial.Placed(q) {
-			r.add(OutOfBounds, -1, []int{q}, "qubit %d unplaced in the initial layout", q)
-			return r
-		}
-	}
-	l := initial.Clone()
-	a := l.Arch()
-	moved := make([]int, l.Qubits()) // qubit -> last batch index that moved it, -1 sentinel
-	for i := range moved {
-		moved[i] = -1
-	}
-
 	for idx, in := range prog.Instr {
 		r.Instructions++
-		switch in := in.(type) {
-		case isa.OneQLayer:
-			if in.Count < 0 {
-				r.add(EmptyInstr, idx, nil, "negative 1Q gate count %d", in.Count)
-			}
+		switch in.(type) {
 		case isa.MoveBatch:
 			r.Batches++
-			checkBatch(r, idx, in, l, a, moved)
 		case isa.Rydberg:
 			r.Pulses++
-			checkPulse(r, idx, in, l, a)
-		default:
-			r.add(EmptyInstr, idx, nil, "unknown instruction type %T", in)
 		}
+		rp.Step(idx, in)
 	}
 	return r
-}
-
-// checkBatch verifies one collective-move batch — AOD capacity, per-group
-// order preservation, per-batch exclusivity, and source/endpoint
-// consistency — then applies the legal subset of moves to the replay
-// layout.
-func checkBatch(r *Report, idx int, in isa.MoveBatch, l *layout.Layout, a *arch.Arch, moved []int) {
-	if len(in.Groups) == 0 {
-		r.add(EmptyInstr, idx, nil, "move batch with no groups")
-		return
-	}
-	if len(in.Groups) > a.AODs {
-		r.add(AODOverflow, idx, nil, "batch uses %d groups, architecture has %d AOD array(s)", len(in.Groups), a.AODs)
-	}
-	for aod, g := range in.Groups {
-		// The order-preservation predicate of Sec. 5.3, re-derived
-		// pairwise from the emitted endpoint coordinates rather than
-		// trusting the grouping pass.
-		for i := range g.Moves {
-			for j := i + 1; j < len(g.Moves); j++ {
-				if move.Conflicts(g.Moves[i], g.Moves[j]) {
-					r.add(AODConflict, idx, []int{g.Moves[i].Qubit, g.Moves[j].Qubit},
-						"AOD %d: moves %v and %v invert row/column order", aod, g.Moves[i], g.Moves[j])
-				}
-			}
-		}
-		for _, m := range g.Moves {
-			if m.Qubit < 0 || m.Qubit >= l.Qubits() {
-				r.add(OutOfBounds, idx, []int{m.Qubit}, "AOD %d: move references qubit %d of %d", aod, m.Qubit, l.Qubits())
-				continue
-			}
-			if !a.InBounds(m.FromSite) || !a.InBounds(m.ToSite) {
-				r.add(OutOfBounds, idx, []int{m.Qubit}, "AOD %d: move %v has out-of-bounds endpoint", aod, m)
-				continue
-			}
-			if a.Pos(m.FromSite) != m.From || a.Pos(m.ToSite) != m.To {
-				r.add(EndpointMismatch, idx, []int{m.Qubit},
-					"AOD %d: move %v carries coordinates %v->%v, sites resolve to %v->%v",
-					aod, m, m.From, m.To, a.Pos(m.FromSite), a.Pos(m.ToSite))
-			}
-			if moved[m.Qubit] == idx {
-				r.add(DoubleMove, idx, []int{m.Qubit}, "AOD %d: qubit %d moved twice in one batch", aod, m.Qubit)
-			}
-			moved[m.Qubit] = idx
-			if got := l.SiteOf(m.Qubit); got != m.FromSite {
-				r.add(StaleSource, idx, []int{m.Qubit},
-					"AOD %d: qubit %d is at %v, move departs from %v", aod, m.Qubit, got, m.FromSite)
-			}
-			// Best-effort application: land the qubit where the move
-			// says it goes, so later instructions are judged against
-			// the stream's own intent.
-			l.Move(m.Qubit, m.ToSite)
-		}
-	}
-}
-
-// checkPulse verifies the occupancy and spacing invariants of one global
-// Rydberg pulse (Sec. 5.1 and the blockade geometry of Table 1).
-func checkPulse(r *Report, idx int, in isa.Rydberg, l *layout.Layout, a *arch.Arch) {
-	if len(in.Pairs) == 0 {
-		r.add(EmptyInstr, idx, nil, "Rydberg pulse with no gates")
-		return
-	}
-	interacting := make([]bool, l.Qubits())
-	paired := make(map[int]int, 2*len(in.Pairs))
-	for _, g := range in.Pairs {
-		if g.A < 0 || g.B < 0 || g.A >= l.Qubits() || g.B >= l.Qubits() {
-			r.add(OutOfBounds, idx, []int{g.A, g.B}, "pulse schedules %v outside the %d-qubit register", g, l.Qubits())
-			continue
-		}
-		if interacting[g.A] || interacting[g.B] {
-			r.add(QubitReuse, idx, []int{g.A, g.B}, "stage %d schedules a qubit of %v twice", in.Stage, g)
-		}
-		interacting[g.A], interacting[g.B] = true, true
-		paired[g.A], paired[g.B] = g.B, g.A
-		sa, sb := l.SiteOf(g.A), l.SiteOf(g.B)
-		if sa != sb {
-			r.add(SplitPair, idx, []int{g.A, g.B}, "pair %v split across %v and %v", g, sa, sb)
-			continue
-		}
-		if sa.Zone != arch.Compute {
-			r.add(StorageInteraction, idx, []int{g.A, g.B}, "pair %v scheduled at storage site %v", g, sa)
-		}
-	}
-
-	// Site occupancy: at most two qubits anywhere, and exactly one
-	// scheduled pair wherever there are two.
-	for _, z := range []arch.Zone{arch.Compute, arch.Storage} {
-		for _, s := range a.Sites(z) {
-			qs := l.At(s)
-			switch {
-			case len(qs) > 2:
-				r.add(TrapOverflow, idx, append([]int(nil), qs...), "site %v holds %d qubits %v", s, len(qs), qs)
-			case len(qs) == 2:
-				if p, ok := paired[qs[0]]; !ok || p != qs[1] {
-					r.add(StrayPair, idx, append([]int(nil), qs...), "site %v holds non-interacting qubits %v", s, qs)
-				}
-			}
-		}
-	}
-
-	// Blockade spacing: every non-interacting qubit must keep
-	// phys.MinSeparation from every interacting one, or the pulse
-	// entangles it by accident. Interacting partners are exempt from
-	// each other (they are co-located by design).
-	var iq []int
-	var ipos []geom.Point
-	for q := 0; q < l.Qubits(); q++ {
-		if interacting[q] {
-			iq = append(iq, q)
-			ipos = append(ipos, l.PosOf(q))
-		}
-	}
-	for q := 0; q < l.Qubits(); q++ {
-		if interacting[q] || l.Zone(q) != arch.Compute {
-			continue
-		}
-		p := l.PosOf(q)
-		for i, other := range iq {
-			if p.Dist(ipos[i]) < phys.MinSeparation {
-				r.add(SpacingBreach, idx, []int{q, other},
-					"idle qubit %d sits %.1f um from interacting qubit %d (min %.1f)",
-					q, p.Dist(ipos[i]), other, phys.MinSeparation)
-			}
-		}
-	}
 }

@@ -106,9 +106,11 @@ func CompileEnola(circ *Circuit, hw *Arch, opts EnolaOptions) (*enola.Result, er
 	return enola.Compile(circ, hw, opts)
 }
 
-// Execute runs a compiled program on the simulated hardware, validating
-// every movement and occupancy constraint and returning fidelity and
-// timing per the paper's model (Sec. 2.2).
+// Execute runs a compiled program on the simulated hardware and returns
+// fidelity and timing per the paper's model (Sec. 2.2). It replays the
+// program under the same physical rule set Verify checks and fails on
+// the first violation; the error wraps that VerifyViolation, which
+// errors.As recovers.
 func Execute(prog *Program, initial *Layout) (*ExecutionResult, error) {
 	return sim.Execute(prog, initial)
 }
