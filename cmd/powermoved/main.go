@@ -4,6 +4,7 @@
 //
 //	powermoved                        # serve on :8077
 //	powermoved -addr :9000 -workers 4 -cache-size 512
+//	powermoved -snapshot-cache 0      # every compile cold (no prefix resumption)
 //	powermoved -pprof                 # also serve /debug/pprof/*
 //
 // Endpoints:
@@ -57,8 +58,6 @@ func main() {
 		storeMax   = flag.Int64("store-max-bytes", 256<<20, "disk result-store size bound in bytes (0 = unbounded)")
 		pprofServe = flag.Bool("pprof", false, "expose /debug/pprof/* (CPU, heap, goroutine profiles) on the listen address")
 		snapCache  = flag.Int("snapshot-cache", 64, "incremental-compilation snapshot entries retained (0 disables incremental compilation)")
-		noWarm     = flag.Bool("no-warm-start", false, "disable warm-start placement donation from similar cached compiles")
-		speculate  = flag.Bool("speculate", false, "precompile likely grouping/scheme variants of hot requests on idle worker slots")
 	)
 	flag.Parse()
 
@@ -66,13 +65,11 @@ func main() {
 		fail(fmt.Errorf("-backend-id %q must not contain %q (the job-id separator)", *backendID, "."))
 	}
 	cfg := powermove.ServerConfig{
-		Instance:    *backendID,
-		Workers:     *workers,
-		CacheSize:   *cacheSize,
-		QueueDepth:  *queueDepth,
-		JobTTL:      *jobTTL,
-		NoWarmStart: *noWarm,
-		Speculate:   *speculate,
+		Instance:   *backendID,
+		Workers:    *workers,
+		CacheSize:  *cacheSize,
+		QueueDepth: *queueDepth,
+		JobTTL:     *jobTTL,
 	}
 	// The flag speaks operator language (0 = off); the config speaks
 	// Go-zero-value language (0 = default, negative = off).

@@ -208,12 +208,11 @@ type Context struct {
 
 	// Incremental-compilation state (see snapshot.go). capture, when
 	// set, is invoked after every completed block; startBlock is the
-	// first block the lowering loop runs (non-zero on resume); warmHint
-	// seeds the placement pass; runStart/baseElapsed let checkpoints
-	// report the wall clock invested up to their capture.
+	// first block the lowering loop runs (non-zero on resume);
+	// runStart/baseElapsed let checkpoints report the wall clock
+	// invested up to their capture.
 	capture     func(*Context)
 	startBlock  int
-	warmHint    *layout.Layout
 	runStart    time.Time
 	baseElapsed time.Duration
 }

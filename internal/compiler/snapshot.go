@@ -176,10 +176,6 @@ type RunOptions struct {
 	// covered prefix — the caller establishes that via content hashes —
 	// and the architecture must share the donor's shape.
 	Resume *Checkpoint
-	// WarmStart, on a cold run, seeds the placement pass with a hint
-	// layout from a similar earlier compile; placement keeps every
-	// compatible assignment and repairs the rest. Ignored on resume.
-	WarmStart *layout.Layout
 	// Capture, when set, receives a checkpoint after every completed
 	// block.
 	Capture func(Checkpoint)
@@ -197,11 +193,11 @@ func (p *Pipeline) RunOpts(circ *circuit.Circuit, a *arch.Arch, opts RunOptions)
 	return p.runCold(circ, a, opts)
 }
 
-// runCold is the ordinary full run, with optional capture and warm-start
-// hint threaded into the context.
+// runCold is the ordinary full run, with optional capture threaded into
+// the context.
 func (p *Pipeline) runCold(circ *circuit.Circuit, a *arch.Arch, opts RunOptions) (*Result, error) {
 	start := time.Now()
-	ctx := &Context{Circuit: circ, Arch: a, rec: newRecorder(), runStart: start, warmHint: opts.WarmStart}
+	ctx := &Context{Circuit: circ, Arch: a, rec: newRecorder(), runStart: start}
 	if opts.Capture != nil {
 		ctx.capture = func(c *Context) { opts.Capture(c.checkpoint(time.Now())) }
 	}
@@ -306,45 +302,5 @@ func (c *Context) checkpoint(now time.Time) Checkpoint {
 		Stats:   st,
 		Elapsed: c.baseElapsed + now.Sub(c.runStart),
 		rec:     c.rec.snapshot(c, now),
-	}
-}
-
-// placeWarm places every qubit on its hint site when the site is
-// compatible — right zone, in bounds, still free — and repairs the rest
-// onto the zone's first free sites in row-major order. With a row-major
-// hint (every placement this compiler produces cold) the repair is the
-// identity, so warm-started defaults stay byte-identical to cold runs;
-// an arbitrary legal hint yields a different but equally valid initial
-// layout, which the differential tests pin legal-and-equivalent.
-func placeWarm(dst *layout.Layout, hint *layout.Layout, z arch.Zone) {
-	a := dst.Arch()
-	var deferred []int
-	for q := 0; q < dst.Qubits(); q++ {
-		if !hint.Placed(q) {
-			deferred = append(deferred, q)
-			continue
-		}
-		s := hint.SiteOf(q)
-		if s.Zone == z && a.InBounds(s) && dst.Occupancy(s) == 0 {
-			dst.Place(q, s)
-			continue
-		}
-		deferred = append(deferred, q)
-	}
-	if len(deferred) == 0 {
-		return
-	}
-	sites := a.Sites(z)
-	next := 0
-	for _, q := range deferred {
-		for next < len(sites) && dst.Occupancy(sites[next]) > 0 {
-			next++
-		}
-		if next >= len(sites) {
-			// The validate pass guaranteed capacity; unreachable.
-			panic(fmt.Sprintf("compiler: zone %v exhausted repairing warm placement", z))
-		}
-		dst.Place(q, sites[next])
-		next++
 	}
 }

@@ -190,72 +190,3 @@ func TestResumeRejections(t *testing.T) {
 		t.Error("non-resumable pipeline accepted a resume")
 	}
 }
-
-// TestWarmStartIdentityHint: a warm-start hint that is itself a cold
-// placement (row-major) repairs to the identity, so the warm-started
-// compile stays byte-identical to the cold one — the property that lets
-// the service leave warm-start on by default.
-func TestWarmStartIdentityHint(t *testing.T) {
-	const n, blocks = 12, 5
-	circ := incrTestCircuit("warm-id", n, blocks)
-	hw := arch.New(arch.Config{Qubits: n})
-	p, err := Zoned(ZonedConfig{UseStorage: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold, err := p.Run(circ, hw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := p.RunOpts(circ, hw, RunOptions{WarmStart: cold.Initial})
-	if err != nil {
-		t.Fatal(err)
-	}
-	coldInstr, coldStats := stabilized(cold)
-	warmInstr, warmStats := stabilized(warm)
-	if !reflect.DeepEqual(warmInstr, coldInstr) || !reflect.DeepEqual(warmStats, coldStats) {
-		t.Error("row-major warm hint changed the compile output")
-	}
-	sameSites(t, warm.Initial, cold.Initial)
-}
-
-// TestPlaceWarmRepair: incompatible hint assignments (wrong zone) are
-// repaired onto free sites; compatible ones survive.
-func TestPlaceWarmRepair(t *testing.T) {
-	const n = 8
-	hw := arch.New(arch.Config{Qubits: n})
-	sites := hw.Sites(arch.Compute)
-	if len(sites) < n {
-		t.Fatalf("compute zone too small for the test: %d sites", len(sites))
-	}
-
-	hint := layout.New(hw, n)
-	// Reversed placement: legal, scrambled relative to row-major.
-	for q := 0; q < n; q++ {
-		hint.Place(q, sites[n-1-q])
-	}
-	// Qubit 0 in the wrong zone: its hint is incompatible and must be
-	// repaired onto a free compute site.
-	storage := hw.Sites(arch.Storage)
-	if len(storage) > 0 {
-		hint.Move(0, storage[0])
-	}
-
-	dst := layout.New(hw, n)
-	placeWarm(dst, hint, arch.Compute)
-	for q := 0; q < n; q++ {
-		if !dst.Placed(q) {
-			t.Fatalf("qubit %d left unplaced after warm repair", q)
-		}
-		s := dst.SiteOf(q)
-		if s.Zone != arch.Compute || dst.Occupancy(s) != 1 {
-			t.Fatalf("qubit %d at %v: zone/occupancy violated", q, s)
-		}
-	}
-	// Qubits 2..n-1 had compatible hints and must keep them.
-	for q := 2; q < n; q++ {
-		if dst.SiteOf(q) != sites[n-1-q] {
-			t.Errorf("qubit %d lost its compatible hint site", q)
-		}
-	}
-}

@@ -185,11 +185,7 @@ func fusePass() Pass {
 
 // placePass builds the initial layout (storage zone for the zoned mode,
 // row-major computation zone otherwise), the working layout, and the
-// empty program. A warm-start hint, when present and qubit-compatible,
-// seeds the placement from a similar earlier compile's layout instead
-// of from scratch; placeWarm keeps every compatible assignment and
-// repairs the rest, so a row-major hint reproduces the cold placement
-// exactly.
+// empty program.
 func placePass(useStorage bool) Pass {
 	return NewPassEffects("place", ReadsCircuit|ReadsArch|WritesLayout|WritesProgram, func(ctx *Context) error {
 		zone := arch.Compute
@@ -197,11 +193,7 @@ func placePass(useStorage bool) Pass {
 			zone = arch.Storage
 		}
 		ctx.Initial = layout.New(ctx.Arch, ctx.Circuit.Qubits)
-		if hint := ctx.warmHint; hint != nil && hint.Qubits() == ctx.Circuit.Qubits {
-			placeWarm(ctx.Initial, hint, zone)
-		} else {
-			ctx.Initial.PlaceAll(zone)
-		}
+		ctx.Initial.PlaceAll(zone)
 		ctx.Layout = ctx.Initial.Clone()
 		ctx.Program = &isa.Program{Name: ctx.Circuit.Name, Qubits: ctx.Circuit.Qubits}
 		return nil

@@ -218,21 +218,13 @@ func (rt *Router) pinnedBackend(r *http.Request) string {
 func (rt *Router) routingKey(r *http.Request, body []byte) (string, bool) {
 	switch {
 	case r.Method == http.MethodPost && r.URL.Path == "/v1/compile":
-		var req service.CompileRequest
-		if json.Unmarshal(body, &req) == nil {
-			// Mirror the backend's ?verify=1 handling: it is part of
-			// the compile key.
-			switch r.URL.Query().Get("verify") {
-			case "1", "true":
-				req.Verify = true
-			}
+		if req, err := service.DecodeCompileRequest(bytes.NewReader(body), r.URL.Query()); err == nil {
 			if key, err := req.RoutingKey(); err == nil {
 				return key, true
 			}
 		}
 	case r.Method == http.MethodPost && r.URL.Path == "/v1/jobs":
-		var req service.JobRequest
-		if json.Unmarshal(body, &req) == nil {
+		if req, err := service.DecodeJobRequest(bytes.NewReader(body)); err == nil {
 			if key, err := req.RoutingKey(); err == nil && key != "" {
 				return key, true
 			}

@@ -151,15 +151,6 @@ type Config struct {
 	// N daemons recovers which backend owns a job from the id alone, so
 	// polling a job needs no router-side state. Must not contain ".".
 	IDPrefix string
-	// Speculate, when set, is the idle-slot policy: a worker that finds
-	// the queue empty offers its slot to this hook before blocking. The
-	// hook performs at most one unit of opportunistic work (the service
-	// precompiles a likely ablation variant) and reports whether it did
-	// anything. Admitted jobs strictly precede speculation — the hook is
-	// only ever invoked from a worker holding a drained queue, and the
-	// ctx is canceled the moment real work is admitted or the manager
-	// closes, so speculative work never delays an admitted job.
-	Speculate func(context.Context) bool
 }
 
 // Sentinel errors of the admission and lookup surface.
@@ -263,8 +254,6 @@ type Metrics struct {
 	// ErrFull (HTTP 429s).
 	Attached int64 `json:"attached"`
 	Shed     int64 `json:"shed"`
-	// Speculations counts productive idle-slot speculation hook runs.
-	Speculations int64 `json:"speculations,omitempty"`
 	// QueueLatency is the admission-to-start histogram.
 	QueueLatency Histogram `json:"queue_latency"`
 }
@@ -319,12 +308,6 @@ type Manager struct {
 	done, failed, canceled int64
 	attached, shed         int64
 	hist                   Histogram
-
-	// Speculation bookkeeping: in-flight hook invocations by sequence
-	// (so admission can cancel them) and a count of productive ones.
-	specSeq      int64
-	specCancels  map[int64]context.CancelFunc
-	speculations int64
 
 	// panics counts recovered Runner panics.
 	panics atomic.Int64
@@ -387,7 +370,6 @@ func (m *Manager) Close() {
 			j.cancel()
 		}
 	}
-	m.cancelSpeculationsLocked()
 	m.cond.Broadcast()
 	m.mu.Unlock()
 }
@@ -423,7 +405,6 @@ func (m *Manager) Submit(spec Spec) (Snapshot, error) {
 	}
 	m.queues[j.priority] = append(m.queues[j.priority], j)
 	m.depth++
-	m.cancelSpeculationsLocked()
 	m.emitStateLocked(j)
 	m.cond.Signal()
 	return j.snapshot(true), nil
@@ -456,11 +437,7 @@ func (m *Manager) newJobLocked(spec Spec) *job {
 	return j
 }
 
-// worker drains the queue until the manager closes. A worker that finds
-// the queue drained offers its slot to the speculation hook before
-// blocking; any admitted job preempts further speculation because the
-// loop re-checks the queue after every hook invocation and the hook is
-// never entered while a job is queued.
+// worker drains the queue until the manager closes.
 func (m *Manager) worker() {
 	for {
 		m.mu.Lock()
@@ -468,12 +445,6 @@ func (m *Manager) worker() {
 		for {
 			if j = m.popLocked(); j != nil || m.closed {
 				break
-			}
-			if m.cfg.Speculate != nil {
-				did := m.trySpeculateLocked()
-				if did || m.closed || m.depth > 0 {
-					continue // re-evaluate queue and shutdown at the top
-				}
 			}
 			m.cond.Wait()
 		}
@@ -486,49 +457,6 @@ func (m *Manager) worker() {
 		m.mu.Unlock()
 		m.execute(ctx, j)
 	}
-}
-
-// trySpeculateLocked runs one speculation hook invocation, dropping the
-// lock around the hook itself. The hook's context is canceled when a
-// real job is admitted or the manager closes. Returns whether the hook
-// did work. Called with m.mu held; returns with it held.
-func (m *Manager) trySpeculateLocked() bool {
-	m.specSeq++
-	id := m.specSeq
-	ctx, cancel := context.WithCancel(context.Background())
-	if m.specCancels == nil {
-		m.specCancels = make(map[int64]context.CancelFunc)
-	}
-	m.specCancels[id] = cancel
-	m.mu.Unlock()
-	did := m.cfg.Speculate(ctx)
-	cancel()
-	m.mu.Lock()
-	delete(m.specCancels, id)
-	if did {
-		m.speculations++
-	}
-	return did
-}
-
-// cancelSpeculationsLocked cancels every in-flight speculation hook so
-// admitted work reclaims the workers immediately. Called with m.mu held;
-// each hook invocation removes its own entry when it returns.
-func (m *Manager) cancelSpeculationsLocked() {
-	for _, cancel := range m.specCancels {
-		cancel()
-	}
-}
-
-// Kick wakes idle workers so they re-poll the speculation hook — the
-// hook's owner calls it after enqueueing new speculative work. A no-op
-// without a configured hook or after Close.
-func (m *Manager) Kick() {
-	m.mu.Lock()
-	if !m.closed && m.cfg.Speculate != nil {
-		m.cond.Broadcast()
-	}
-	m.mu.Unlock()
 }
 
 // popLocked removes the next runnable job: highest priority first, FIFO
@@ -670,7 +598,6 @@ func (m *Manager) readmitLocked(f *job) {
 	}
 	m.queues[f.priority] = append(m.queues[f.priority], f)
 	m.depth++
-	m.cancelSpeculationsLocked()
 	m.cond.Signal()
 }
 
@@ -729,18 +656,6 @@ func (m *Manager) Get(id string) (Snapshot, error) {
 		return Snapshot{}, ErrNotFound
 	}
 	return j.snapshot(true), nil
-}
-
-// Result returns a done job's result document verbatim. The boolean
-// reports whether the job is done; ErrNotFound reports an unknown id.
-func (m *Manager) Result(id string) (json.RawMessage, State, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	j, ok := m.jobs[id]
-	if !ok {
-		return nil, "", ErrNotFound
-	}
-	return j.result, j.state, nil
 }
 
 // Filter narrows List.
@@ -830,7 +745,6 @@ func (m *Manager) Metrics() Metrics {
 		Canceled:     m.canceled,
 		Attached:     m.attached,
 		Shed:         m.shed,
-		Speculations: m.speculations,
 		QueueLatency: h,
 	}
 }

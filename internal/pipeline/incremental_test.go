@@ -9,6 +9,7 @@ import (
 
 	"powermove/internal/circuit"
 	"powermove/internal/isa"
+	"powermove/internal/workload"
 )
 
 // incrCircuit builds a deterministic multi-block circuit; mutTail != 0
@@ -29,37 +30,32 @@ func incrCircuit(n, blocks, mutHead, mutTail int) *circuit.Circuit {
 	return c
 }
 
-// incrJob wraps circ as a job under bench (distinct benches defeat the
-// outcome cache so the snapshot path actually runs).
+// incrJob wraps circ as a with-storage job under bench (distinct benches
+// defeat the outcome cache so the snapshot path actually runs).
 func incrJob(bench string, circ *circuit.Circuit, aods int) Job {
-	return NewJob(bench, WithStorage, aods, func() (*circuit.Circuit, error) { return circ, nil })
+	return circJob(bench, circ, WithStorage, aods)
 }
 
-// coldCompile compiles circ with no snapshot store and a private cache:
-// the byte-identity reference.
-func coldCompile(t *testing.T, bench string, circ *circuit.Circuit, aods int) Result {
-	t.Helper()
-	results, _, err := Run(context.Background(), []Job{incrJob(bench, circ, aods)},
-		Options{Workers: 1, Cache: NewCache()})
-	if err != nil || results[0].Err != nil {
-		t.Fatal(err, results[0].Err)
-	}
-	return results[0]
+func circJob(bench string, circ *circuit.Circuit, scheme Scheme, aods int) Job {
+	return NewJob(bench, scheme, aods, func() (*circuit.Circuit, error) { return circ, nil })
 }
 
-// snapCompile compiles circ through snaps with a private cache,
-// capturing artifacts.
-func snapCompile(t *testing.T, snaps *SnapshotStore, bench string, circ *circuit.Circuit, aods int) (Result, Artifacts) {
+// compile runs job alone on a private cache — through snaps, or cold
+// when snaps is nil, the byte-identity reference — and returns its
+// result and compiled program.
+func compile(t *testing.T, snaps *SnapshotStore, job Job) (Result, *isa.Program) {
 	t.Helper()
-	var art Artifacts
-	job := incrJob(bench, circ, aods)
-	job.Keep = func(a Artifacts) { art = a }
+	var prog *isa.Program
+	job.Keep = func(a Artifacts) { prog = a.Program }
 	results, _, err := Run(context.Background(), []Job{job},
 		Options{Workers: 1, Cache: NewCache(), Snapshots: snaps})
-	if err != nil || results[0].Err != nil {
-		t.Fatal(err, results[0].Err)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return results[0], art
+	if results[0].Err != nil {
+		t.Fatal(results[0].Err)
+	}
+	return results[0], prog
 }
 
 // identical asserts a snapshot-assisted outcome is byte-identical to
@@ -93,32 +89,29 @@ func TestIncrementalPrefixReuse(t *testing.T) {
 		circ       *circuit.Circuit
 		aods       int
 		prefixHits int64 // delta expected from this request
-		warmStarts int64
 	}{
-		{"identical-other-bench", incrCircuit(n, blocks, 0, 0), 1, 1, 0},
-		{"shared-prefix-tail-mutated", incrCircuit(n, blocks, 0, 2), 1, 1, 0},
-		{"divergent-first-block", incrCircuit(n, blocks, 2, 0), 1, 0, 1},
-		{"arch-change-full-invalidation", incrCircuit(n, blocks, 0, 0), 2, 0, 0},
+		{"identical-other-bench", incrCircuit(n, blocks, 0, 0), 1, 1},
+		{"shared-prefix-tail-mutated", incrCircuit(n, blocks, 0, 2), 1, 1},
+		{"divergent-first-block", incrCircuit(n, blocks, 2, 0), 1, 0},
+		{"arch-change-full-invalidation", incrCircuit(n, blocks, 0, 0), 2, 0},
 	}
 	for i, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			snaps := NewSnapshotStore(0)
 			// Seed the store with the donor compile (cold: empty store).
-			seedRes, seedArt := snapCompile(t, snaps, "seed", seedCirc, 1)
+			seedRes, seedProg := compile(t, snaps, incrJob("seed", seedCirc, 1))
 			if st := snaps.Stats(); st.PrefixHits != 0 || st.Entries != 1 {
 				t.Fatalf("seeding: stats = %+v, want 1 entry, 0 hits", st)
 			}
-			identical(t, "seed", seedRes, coldCompile(t, "seed", seedCirc, 1), seedArt.Program, nil)
+			coldSeed, coldSeedProg := compile(t, nil, incrJob("seed", seedCirc, 1))
+			identical(t, "seed", seedRes, coldSeed, seedProg, coldSeedProg)
 
 			before := snaps.Stats()
 			bench := fmt.Sprintf("case-%d", i)
-			res, art := snapCompile(t, snaps, bench, tc.circ, tc.aods)
+			res, prog := compile(t, snaps, incrJob(bench, tc.circ, tc.aods))
 			after := snaps.Stats()
 			if got := after.PrefixHits - before.PrefixHits; got != tc.prefixHits {
 				t.Errorf("prefix hits delta = %d, want %d", got, tc.prefixHits)
-			}
-			if got := after.WarmStarts - before.WarmStarts; got != tc.warmStarts {
-				t.Errorf("warm starts delta = %d, want %d", got, tc.warmStarts)
 			}
 			if after.Probes != before.Probes+1 {
 				t.Errorf("probes delta = %d, want 1", after.Probes-before.Probes)
@@ -127,37 +120,11 @@ func TestIncrementalPrefixReuse(t *testing.T) {
 				t.Errorf("prefix hit did not grow the saved-time ledger: %v -> %v", before.SavedMS, after.SavedMS)
 			}
 
-			// Every row of the table — resumed, warm-started, or cold —
-			// must be byte-identical to a cold compile of its circuit.
-			coldRef := coldCompile(t, bench, tc.circ, tc.aods)
-			var coldArt Artifacts
-			coldJob := incrJob(bench, tc.circ, tc.aods)
-			coldJob.Keep = func(a Artifacts) { coldArt = a }
-			coldResults, _, err := Run(context.Background(), []Job{coldJob}, Options{Workers: 1, Cache: NewCache()})
-			if err != nil || coldResults[0].Err != nil {
-				t.Fatal(err, coldResults[0].Err)
-			}
-			identical(t, tc.name, res, coldRef, art.Program, coldArt.Program)
+			// Every row of the table — resumed or cold — must be
+			// byte-identical to a cold compile of its circuit.
+			coldRef, coldProg := compile(t, nil, incrJob(bench, tc.circ, tc.aods))
+			identical(t, tc.name, res, coldRef, prog, coldProg)
 		})
-	}
-}
-
-// TestIncrementalDisabledWarmStart: with warm-start off, a
-// divergent-first-block request runs fully cold (no donation), while
-// prefix resumption still works.
-func TestIncrementalDisabledWarmStart(t *testing.T) {
-	const n, blocks = 12, 10
-	snaps := NewSnapshotStore(0)
-	snaps.SetWarmStart(false)
-	snapCompile(t, snaps, "seed", incrCircuit(n, blocks, 0, 0), 1)
-
-	snapCompile(t, snaps, "head", incrCircuit(n, blocks, 2, 0), 1)
-	if st := snaps.Stats(); st.WarmStarts != 0 {
-		t.Errorf("warm starts = %d with warm-start disabled", st.WarmStarts)
-	}
-	snapCompile(t, snaps, "tail", incrCircuit(n, blocks, 0, 2), 1)
-	if st := snaps.Stats(); st.PrefixHits != 1 {
-		t.Errorf("prefix hits = %d, want 1 (resumption unaffected)", st.PrefixHits)
 	}
 }
 
@@ -167,7 +134,7 @@ func TestIncrementalLRU(t *testing.T) {
 	const n, blocks = 12, 4
 	snaps := NewSnapshotStore(2)
 	for i := 0; i < 3; i++ {
-		snapCompile(t, snaps, fmt.Sprintf("lru-%d", i), incrCircuit(n+2*i, blocks, 0, 0), 1)
+		compile(t, snaps, incrJob(fmt.Sprintf("lru-%d", i), incrCircuit(n+2*i, blocks, 0, 0), 1))
 	}
 	if st := snaps.Stats(); st.Entries != 2 {
 		t.Errorf("entries = %d, want 2 after eviction", st.Entries)
@@ -184,7 +151,7 @@ func TestIncrementalConcurrent(t *testing.T) {
 	circs := make([]*circuit.Circuit, workers)
 	for i := range circs {
 		circs[i] = incrCircuit(n, blocks, 0, i%3)
-		colds[i] = coldCompile(t, fmt.Sprintf("conc-%d", i), circs[i], 1)
+		colds[i], _ = compile(t, nil, incrJob(fmt.Sprintf("conc-%d", i), circs[i], 1))
 	}
 	var wg sync.WaitGroup
 	results := make([]Result, workers)
@@ -208,5 +175,68 @@ func TestIncrementalConcurrent(t *testing.T) {
 			t.Fatalf("concurrent-%d: %v", i, errs[i])
 		}
 		identical(t, fmt.Sprintf("concurrent-%d", i), results[i], colds[i], nil, nil)
+	}
+}
+
+// TestIncrementalBenchmarkFamilies runs the benchmark's own kinds of
+// input through one shared store: two seeded instances of every Fig. 6
+// family at its smallest panel size, under both PowerMove schemes at 1
+// and 2 AODs, then a deep QAOA-regular3 circuit and two one-gate edits
+// of its last block, as an edit-async session sends them. Every outcome
+// and program must be byte-identical to its cold compile, and some
+// compiles must resume from a shared prefix.
+func TestIncrementalBenchmarkFamilies(t *testing.T) {
+	families := []struct {
+		name string
+		gen  func(seed int64) *circuit.Circuit
+	}{
+		{"QAOA-regular3-20", func(seed int64) *circuit.Circuit { return workload.QAOARegular(20, 3, seed) }},
+		{"QSIM-rand-10", func(seed int64) *circuit.Circuit { return workload.QSim(10, seed) }},
+		{"QFT-18", func(int64) *circuit.Circuit { return workload.QFT(18) }},
+		{"VQE-10", func(int64) *circuit.Circuit { return workload.VQE(10) }},
+		{"BV-14", func(seed int64) *circuit.Circuit { return workload.BV(14, seed) }},
+	}
+	var jobs []Job
+	for _, f := range families {
+		for _, scheme := range []Scheme{NonStorage, WithStorage} {
+			for _, aods := range []int{1, 2} {
+				for seed := int64(1); seed <= 2; seed++ {
+					bench := fmt.Sprintf("%s@%d", f.name, seed)
+					jobs = append(jobs, circJob(bench, f.gen(seed), scheme, aods))
+				}
+			}
+		}
+	}
+	// edit drops gate k of the last ZZ block; k < 0 keeps the base.
+	edit := func(k int) *circuit.Circuit {
+		c := workload.QAOARegularP(30, 3, 3, 11)
+		if k >= 0 {
+			i := len(c.Blocks) - 1
+			for len(c.Blocks[i].Gates) == 0 {
+				i--
+			}
+			g := c.Blocks[i].Gates
+			c.Blocks[i].Gates = append(g[:k:k], g[k+1:]...)
+		}
+		return c
+	}
+	for k := -1; k < 2; k++ {
+		jobs = append(jobs, incrJob(fmt.Sprintf("QAOA-regular3-30-p3-edit%d", k), edit(k), 1))
+	}
+
+	snaps := NewSnapshotStore(0)
+	for i, job := range jobs {
+		label := fmt.Sprintf("%s/%s/%daod", job.Key.Bench, job.Key.Scheme, job.Key.AODs)
+		hits := snaps.Stats().PrefixHits
+		got, gotProg := compile(t, snaps, job)
+		want, wantProg := compile(t, nil, job)
+		identical(t, label, got, want, gotProg, wantProg)
+		if i >= len(jobs)-2 && snaps.Stats().PrefixHits != hits+1 {
+			t.Errorf("%s: the tail edit did not resume from a shared prefix", label)
+		}
+	}
+	st := snaps.Stats()
+	if st.Probes != int64(len(jobs)) || st.PrefixHits == 0 {
+		t.Errorf("store stats = %+v, want %d probes and some prefix hits", st, len(jobs))
 	}
 }

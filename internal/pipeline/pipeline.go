@@ -220,11 +220,10 @@ type Options struct {
 	// shares one gate across all requests). Within a run, Workers still
 	// applies; the effective bound is the smaller of the two.
 	Sem chan struct{}
-	// Snapshots, when set, is the per-pass snapshot store: fresh
+	// Snapshots, when set, is the per-block snapshot store: fresh
 	// compiles of resumable pipelines capture per-block checkpoints into
 	// it, and later compiles sharing a block prefix resume from the
-	// longest matching checkpoint (or warm-start placement from the
-	// nearest neighbor) instead of compiling cold. Outputs are
+	// longest matching checkpoint instead of compiling cold. Outputs are
 	// byte-identical either way; nil disables incremental compilation.
 	Snapshots *SnapshotStore
 }

@@ -5,12 +5,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
-	"time"
 
 	"powermove/internal/arch"
 	"powermove/internal/circuit"
 	"powermove/internal/compiler"
-	"powermove/internal/layout"
 )
 
 // SnapshotStore is the incremental-compilation cache: per-block compiler
@@ -20,8 +18,8 @@ import (
 // with a stored entry (same scheme configuration, qubit count, and
 // architecture shape) resumes from the longest matching checkpoint and
 // lowers only the divergent tail — placement and the shared blocks are
-// never re-run. When no prefix matches, a sufficiently similar neighbor
-// donates its initial layout as a warm-start placement hint instead.
+// never re-run. A compile that shares no leading block with any entry
+// runs cold.
 //
 // The store is safe for concurrent use: checkpoints are immutable once
 // captured, probes and inserts are serialized, and compilation happens
@@ -31,11 +29,9 @@ type SnapshotStore struct {
 	cap     int
 	entries map[string]*snapEntry
 	order   []string // LRU order, least recent first
-	warm    bool
 
 	probes     int64
 	prefixHits int64
-	warmStarts int64
 	savedNS    int64
 }
 
@@ -49,8 +45,6 @@ type snapEntry struct {
 	// cps[i] is the checkpoint after block i. len(cps) == len(hashes).
 	hashes [][16]byte
 	cps    []compiler.Checkpoint
-	// initial is the compile's initial layout, the warm-start donation.
-	initial *layout.Layout
 }
 
 // DefaultSnapshotCap is the default bound on retained snapshot entries.
@@ -59,8 +53,7 @@ type snapEntry struct {
 const DefaultSnapshotCap = 64
 
 // NewSnapshotStore returns a store retaining at most capacity entries
-// (<= 0 selects DefaultSnapshotCap). Warm-start donation is enabled;
-// disable it with SetWarmStart(false).
+// (<= 0 selects DefaultSnapshotCap).
 func NewSnapshotStore(capacity int) *SnapshotStore {
 	if capacity <= 0 {
 		capacity = DefaultSnapshotCap
@@ -68,14 +61,8 @@ func NewSnapshotStore(capacity int) *SnapshotStore {
 	return &SnapshotStore{
 		cap:     capacity,
 		entries: make(map[string]*snapEntry),
-		warm:    true,
 	}
 }
-
-// SetWarmStart toggles warm-start placement donation (the -no-warm-start
-// escape hatch). Prefix resumption is unaffected. Call before the store
-// is shared across goroutines.
-func (s *SnapshotStore) SetWarmStart(on bool) { s.warm = on }
 
 // SnapshotStats is the store's observability snapshot.
 type SnapshotStats struct {
@@ -86,9 +73,6 @@ type SnapshotStats struct {
 	// PrefixHits counts compiles resumed from a shared-prefix
 	// checkpoint.
 	PrefixHits int64 `json:"incremental_prefix_hits"`
-	// WarmStarts counts compiles whose placement was warm-started from
-	// a neighbor's layout.
-	WarmStarts int64 `json:"warm_starts"`
 	// SavedMS is the cumulative compile wall clock the resumed prefixes
 	// had already paid for — the saved-time ledger.
 	SavedMS float64 `json:"saved_ms"`
@@ -102,7 +86,6 @@ func (s *SnapshotStore) Stats() SnapshotStats {
 		Entries:    len(s.entries),
 		Probes:     s.probes,
 		PrefixHits: s.prefixHits,
-		WarmStarts: s.warmStarts,
 		SavedMS:    float64(s.savedNS) / 1e6,
 	}
 }
@@ -138,11 +121,9 @@ func blockHashes(circ *circuit.Circuit) [][16]byte {
 }
 
 // probe finds the best incremental starting point for a compile with the
-// given identity: the longest shared block prefix among compatible
-// entries (returning its checkpoints), or — failing that, when
-// warm-start is enabled — the most similar neighbor's initial layout as
-// a placement hint.
-func (s *SnapshotStore) probe(cfg string, qubits int, archFP uint64, hashes [][16]byte) (prefix []compiler.Checkpoint, hint *layout.Layout) {
+// given identity: the checkpoints of the longest shared block prefix
+// among compatible entries, or nil when no entry shares a first block.
+func (s *SnapshotStore) probe(cfg string, qubits int, archFP uint64, hashes [][16]byte) []compiler.Checkpoint {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.probes++
@@ -162,27 +143,9 @@ func (s *SnapshotStore) probe(cfg string, qubits int, archFP uint64, hashes [][1
 		s.prefixHits++
 		s.savedNS += int64(best.cps[bestK-1].Elapsed)
 		s.touch(best.canon)
-		return best.cps[:bestK:bestK], nil
+		return best.cps[:bestK:bestK]
 	}
-
-	if !s.warm {
-		return nil, nil
-	}
-	var bestSim float64
-	for _, e := range s.entries {
-		if e.configID != cfg || e.qubits != qubits || e.archFP != archFP {
-			continue
-		}
-		if sim := hashSimilarity(e.hashes, hashes); sim > bestSim {
-			best, bestSim = e, sim
-		}
-	}
-	if best != nil && bestSim >= 0.5 && best.initial != nil {
-		s.warmStarts++
-		s.touch(best.canon)
-		return nil, best.initial
-	}
-	return nil, nil
+	return nil
 }
 
 // sharedPrefix returns the length of the longest equal leading run of a
@@ -198,28 +161,6 @@ func sharedPrefix(a, b [][16]byte) int {
 		}
 	}
 	return n
-}
-
-// hashSimilarity is the cheap circuit-distance probe behind warm-start
-// donation: the multiset overlap of block hashes, normalized by the
-// request's block count. Order-insensitive, so a reordered circuit still
-// finds its neighbor.
-func hashSimilarity(donor, req [][16]byte) float64 {
-	if len(req) == 0 {
-		return 0
-	}
-	counts := make(map[[16]byte]int, len(donor))
-	for _, h := range donor {
-		counts[h]++
-	}
-	overlap := 0
-	for _, h := range req {
-		if counts[h] > 0 {
-			counts[h]--
-			overlap++
-		}
-	}
-	return float64(overlap) / float64(len(req))
 }
 
 // add retains a completed compile's checkpoints, replacing any prior
@@ -252,26 +193,24 @@ func (s *SnapshotStore) touch(canon string) {
 	}
 }
 
-// run compiles circ through the store: probe for a prefix or a
-// warm-start hint, run the pipeline from the best starting point while
-// capturing per-block checkpoints, and retain the completed compile for
-// future probes. The caller guarantees p.Resumable() and a non-empty
+// run compiles circ through the store: probe for a shared prefix, run
+// the pipeline from its last checkpoint (or cold) while capturing
+// per-block checkpoints, and retain the completed compile for future
+// probes. The caller guarantees p.Resumable() and a non-empty
 // circuit.
 func (s *SnapshotStore) run(p *compiler.Pipeline, key Key, canon string, circ *circuit.Circuit, hw *arch.Arch) (*compiler.Result, error) {
 	hashes := blockHashes(circ)
 	cfg := configID(key)
 	fp := hw.Fingerprint()
-	prefix, hint := s.probe(cfg, circ.Qubits, fp, hashes)
+	prefix := s.probe(cfg, circ.Qubits, fp, hashes)
 
 	cps := make([]compiler.Checkpoint, 0, len(circ.Blocks))
 	cps = append(cps, prefix...)
 	opts := compiler.RunOptions{
-		WarmStart: hint,
-		Capture:   func(cp compiler.Checkpoint) { cps = append(cps, cp) },
+		Capture: func(cp compiler.Checkpoint) { cps = append(cps, cp) },
 	}
 	if len(prefix) > 0 {
 		opts.Resume = &prefix[len(prefix)-1]
-		opts.WarmStart = nil
 	}
 	res, err := p.RunOpts(circ, hw, opts)
 	if err != nil {
@@ -285,16 +224,7 @@ func (s *SnapshotStore) run(p *compiler.Pipeline, key Key, canon string, circ *c
 			archFP:   fp,
 			hashes:   hashes,
 			cps:      cps,
-			initial:  res.Initial,
 		})
 	}
 	return res, nil
-}
-
-// Saved returns the cumulative wall clock the store's prefix hits have
-// avoided recompiling, as a duration.
-func (s *SnapshotStore) Saved() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return time.Duration(s.savedNS)
 }

@@ -3,7 +3,9 @@ package service
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"net/url"
 	"runtime"
 	"runtime/debug"
 	"strconv"
@@ -122,34 +124,59 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, api.Status, errorEnvelope{api})
 }
 
-// decode strictly parses the request body into v; unknown fields are
-// rejected so typos fail loudly instead of silently selecting defaults.
-func decode(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// decode strictly parses one JSON value from body into v. Unknown
+// fields are rejected so typos fail loudly instead of silently selecting
+// defaults, and so is anything but whitespace after the value, which
+// would otherwise be dropped unread.
+func decode(body io.Reader, v any) error {
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return &RequestError{fmt.Errorf("request body: %w", err)}
 	}
+	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
+		return &RequestError{fmt.Errorf("request body: data after the JSON value")}
+	}
 	return nil
 }
 
-func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
+// DecodeCompileRequest parses a POST /v1/compile request: the strict
+// body decode, plus ?verify=, the query spelling of the body's "verify"
+// field (either one turns differential verification on). The daemon
+// and the fleet router both decode with it, so every body the daemon
+// accepts routes by the key the daemon caches its outcome under.
+func DecodeCompileRequest(body io.Reader, query url.Values) (*CompileRequest, error) {
 	var req CompileRequest
-	if err := decode(r, &req); err != nil {
-		s.writeError(w, err)
-		return
+	if err := decode(body, &req); err != nil {
+		return nil, err
 	}
-	// ?verify=1 is the query-parameter spelling of the body's "verify"
-	// field: either one turns differential verification on.
-	switch v := r.URL.Query().Get("verify"); v {
+	switch v := query.Get("verify"); v {
 	case "", "0", "false":
 	case "1", "true":
 		req.Verify = true
 	default:
-		s.writeError(w, &RequestError{fmt.Errorf("verify = %q; want 0/1/true/false", v)})
+		return nil, &RequestError{fmt.Errorf("verify = %q; want 0/1/true/false", v)}
+	}
+	return &req, nil
+}
+
+// DecodeJobRequest parses a POST /v1/jobs body, strictly, for the
+// daemon and the fleet router alike.
+func DecodeJobRequest(body io.Reader) (*JobRequest, error) {
+	var req JobRequest
+	if err := decode(body, &req); err != nil {
+		return nil, err
+	}
+	return &req, nil
+}
+
+func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
+	req, err := DecodeCompileRequest(r.Body, r.URL.Query())
+	if err != nil {
+		s.writeError(w, err)
 		return
 	}
-	resp, err := s.Compile(r.Context(), &req)
+	resp, err := s.Compile(r.Context(), req)
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -159,7 +186,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
-	if err := decode(r, &req); err != nil {
+	if err := decode(r.Body, &req); err != nil {
 		s.writeError(w, err)
 		return
 	}

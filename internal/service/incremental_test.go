@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 )
 
 // layeredQASM builds an n-qubit program of `layers` alternating h/cz
@@ -88,75 +87,5 @@ func TestIncrementalDisabled(t *testing.T) {
 	}
 	if m := s.Metrics(); m.Incremental.Enabled || m.Incremental.Probes != 0 {
 		t.Errorf("incremental = %+v, want disabled and idle", m.Incremental)
-	}
-}
-
-// TestSpeculativePrecompilation: a fresh compile nominates its grouping
-// and scheme variants; idle workers precompile them; the later real
-// request for a variant is a cache hit credited to speculative_hits.
-func TestSpeculativePrecompilation(t *testing.T) {
-	s := New(Config{Workers: 2, Speculate: true})
-	defer s.Close()
-	if _, err := s.Compile(context.Background(), qftRequest(8)); err != nil {
-		t.Fatal(err)
-	}
-	// Two grouping variants + the scheme flip.
-	if m := s.Metrics(); m.Speculation.Candidates != 3 {
-		t.Fatalf("candidates = %d, want 3", m.Speculation.Candidates)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		m := s.Metrics().Speculation
-		if m.Queued == 0 && m.Compiles >= 3 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("speculation never drained: %+v", m)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	variant := qftRequest(8)
-	variant.Grouping = "distance"
-	resp, err := s.Compile(context.Background(), variant)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resp.Cached {
-		t.Fatal("speculated variant was not served from the cache")
-	}
-	m := s.Metrics().Speculation
-	if m.Hits != 1 {
-		t.Errorf("speculative_hits = %d, want 1", m.Hits)
-	}
-	if m.SavedMS <= 0 {
-		t.Errorf("saved_ms = %v, want > 0 after a speculative hit", m.SavedMS)
-	}
-
-	// The speculated outcome must match a cold compile of the variant
-	// byte-for-byte (modulo the Cached flag the hit path sets).
-	cold := New(Config{Workers: 1})
-	defer cold.Close()
-	ref, err := cold.Compile(context.Background(), variant)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := *resp
-	got.Cached = ref.Cached
-	if !reflect.DeepEqual(&got, ref) {
-		t.Errorf("speculated outcome diverged from cold compile:\n got %+v\nwant %+v", resp, ref)
-	}
-}
-
-// TestSpeculationDisabledByDefault: without Config.Speculate nothing is
-// nominated and the metrics section stays disabled.
-func TestSpeculationDisabledByDefault(t *testing.T) {
-	s := New(Config{Workers: 1})
-	defer s.Close()
-	if _, err := s.Compile(context.Background(), qftRequest(6)); err != nil {
-		t.Fatal(err)
-	}
-	if m := s.Metrics(); m.Speculation.Enabled || m.Speculation.Candidates != 0 {
-		t.Errorf("speculation = %+v, want disabled and idle", m.Speculation)
 	}
 }

@@ -198,12 +198,12 @@ func (s *Server) runJob(ctx context.Context, snap jobs.Snapshot, progress func(d
 // handleJobSubmit is POST /v1/jobs: 202 Accepted with the queued job's
 // snapshot and its Location, or 429 + Retry-After when the queue sheds.
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	var req JobRequest
-	if err := decode(r, &req); err != nil {
+	req, err := DecodeJobRequest(r.Body)
+	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	snap, err := s.SubmitJob(&req)
+	snap, err := s.SubmitJob(req)
 	if err != nil {
 		s.writeError(w, err)
 		return

@@ -545,7 +545,8 @@ func TestErrorEnvelopeTable(t *testing.T) {
 
 // TestDecodeStrictness: every body-accepting endpoint rejects unknown
 // fields — nested ones included — so typos fail loudly instead of
-// silently selecting defaults.
+// silently selecting defaults, and rejects data after the JSON value
+// instead of dropping it unread. Trailing whitespace stays legal.
 func TestDecodeStrictness(t *testing.T) {
 	_, ts := jobsServer(t, Config{Workers: 1, QueueDepth: 4})
 	cases := []struct {
@@ -558,6 +559,12 @@ func TestDecodeStrictness(t *testing.T) {
 		{"/v1/jobs", `{"compile":{"workload":{"family":"QFT","qubits":4}},"prio":3}`},
 		{"/v1/jobs", `{"compile":{"workload":{"family":"QFT","qubits":4},"aod":2}}`},
 		{"/v1/jobs", `{"experiment":{"kind":"table","id":"1","stble":true}}`},
+		{"/v1/compile", `{"workload":{"family":"QFT","qubits":4}}{"scheme":"enola"}`},
+		{"/v1/compile", `{"workload":{"family":"QFT","qubits":4}} trailing garbage`},
+		{"/v1/batch", `{"requests":[{"workload":{"family":"QFT","qubits":4}}]}{}`},
+		{"/v1/batch", `{"requests":[{"workload":{"family":"QFT","qubits":4}}]}]`},
+		{"/v1/jobs", `{"compile":{"workload":{"family":"QFT","qubits":4}}}]`},
+		{"/v1/jobs", `{"compile":{"workload":{"family":"QFT","qubits":4}}} {"priority":9}`},
 	}
 	for _, tc := range cases {
 		resp, raw := postJSON(t, ts.URL+tc.endpoint, tc.body)
@@ -568,6 +575,9 @@ func TestDecodeStrictness(t *testing.T) {
 		if code := envelopeCode(t, raw); code != CodeInvalidRequest {
 			t.Errorf("%s %s: code %q", tc.endpoint, tc.body, code)
 		}
+	}
+	if resp, raw := postJSON(t, ts.URL+"/v1/compile", "{\"workload\":{\"family\":\"QFT\",\"qubits\":4}}\n \t\r\n"); resp.StatusCode != http.StatusOK {
+		t.Errorf("trailing whitespace: status %d, want 200: %s", resp.StatusCode, raw)
 	}
 }
 

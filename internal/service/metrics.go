@@ -205,9 +205,8 @@ type MemCounters struct {
 
 // IncrementalMetrics is the incremental-compilation snapshot store's
 // accounting: how many compiles probed it, how many resumed from a
-// shared-prefix checkpoint or warm-started placement, and the compile
-// wall clock the resumed prefixes avoided re-paying (the saved-time
-// ledger).
+// shared-prefix checkpoint, and the compile wall clock the resumed
+// prefixes avoided re-paying (the saved-time ledger).
 type IncrementalMetrics struct {
 	// Enabled reports whether the snapshot store is configured (it is by
 	// default; -snapshot-cache 0 disables it).
@@ -218,28 +217,11 @@ type IncrementalMetrics struct {
 	Probes int64 `json:"probes"`
 	// PrefixHits counts compiles resumed from a shared-prefix checkpoint.
 	PrefixHits int64 `json:"incremental_prefix_hits"`
-	// WarmStarts counts compiles whose placement was warm-started from a
-	// neighbor's layout.
+	// WarmStarts always reads 0: the store no longer donates placements
+	// between compiles. The field stays only because the benchmark
+	// harness reads it.
 	WarmStarts int64 `json:"warm_starts"`
 	// SavedMS is the cumulative compile time the prefix hits skipped.
-	SavedMS float64 `json:"saved_ms"`
-}
-
-// SpeculationMetrics is the speculative-precompilation accounting:
-// variants nominated, variants actually precompiled on idle worker
-// slots, and real requests later served from a speculated entry.
-type SpeculationMetrics struct {
-	// Enabled reports whether speculation is configured (-speculate).
-	Enabled bool `json:"enabled"`
-	// Queued is the pending variant backlog (including one in flight).
-	Queued int `json:"queued"`
-	// Candidates counts variants ever nominated.
-	Candidates int64 `json:"candidates"`
-	// Compiles counts variants actually precompiled.
-	Compiles int64 `json:"speculative_compiles"`
-	// Hits counts real requests served from a speculated entry.
-	Hits int64 `json:"speculative_hits"`
-	// SavedMS is the cumulative compile time those hits never waited for.
 	SavedMS float64 `json:"saved_ms"`
 }
 
@@ -303,11 +285,8 @@ type MetricsSnapshot struct {
 	// Verify is the differential-verification ledger across every
 	// fresh verified compile.
 	Verify VerifyMetrics `json:"verify"`
-	// Incremental is the snapshot store's prefix-reuse and warm-start
-	// accounting.
+	// Incremental is the snapshot store's prefix-reuse accounting.
 	Incremental IncrementalMetrics `json:"incremental"`
-	// Speculation is the speculative-precompilation accounting.
-	Speculation SpeculationMetrics `json:"speculation"`
 	// Jobs is the async queue's accounting: per-state transition
 	// counters, current depth/running/retained gauges, shed and attach
 	// counts, and the admission-to-start latency histogram.
@@ -348,12 +327,8 @@ func (s *Server) Metrics() MetricsSnapshot {
 			Entries:    st.Entries,
 			Probes:     st.Probes,
 			PrefixHits: st.PrefixHits,
-			WarmStarts: st.WarmStarts,
 			SavedMS:    st.SavedMS,
 		}
-	}
-	if s.spec != nil {
-		snap.Speculation = s.spec.metrics()
 	}
 	if s.store != nil {
 		st := s.store.Stats()

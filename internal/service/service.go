@@ -76,14 +76,6 @@ type Config struct {
 	// selects pipeline.DefaultSnapshotCap, negative disables incremental
 	// compilation entirely (every compile is cold).
 	SnapshotCache int
-	// NoWarmStart disables warm-start placement donation (the
-	// -no-warm-start escape hatch); prefix resumption is unaffected.
-	NoWarmStart bool
-	// Speculate enables speculative precompilation: idle job-worker slots
-	// precompile likely ablation variants (grouping and scheme
-	// substitutions) of freshly compiled requests at lowest priority,
-	// strictly load-shedding to real work.
-	Speculate bool
 }
 
 // Server is the compile service: a shared LRU outcome cache, a
@@ -99,7 +91,6 @@ type Server struct {
 	jobs     *jobs.Manager
 	store    *store.Store
 	snaps    *pipeline.SnapshotStore
-	spec     *speculator
 
 	// compileOne executes one validated job; tests substitute a
 	// controlled implementation to observe dedup behavior.
@@ -132,25 +123,17 @@ func New(cfg Config) *Server {
 	}
 	if cfg.SnapshotCache >= 0 {
 		s.snaps = pipeline.NewSnapshotStore(cfg.SnapshotCache)
-		s.snaps.SetWarmStart(!cfg.NoWarmStart)
-	}
-	if cfg.Speculate {
-		s.spec = newSpeculator(s)
 	}
 	// Job workers match the compile-concurrency bound: more would only
 	// stack up on the compile semaphore.
-	jc := jobs.Config{
+	s.jobs = jobs.NewManager(jobs.Config{
 		Depth:    cfg.QueueDepth,
 		Workers:  workers,
 		TTL:      cfg.JobTTL,
 		Run:      s.runJob,
 		CodeOf:   errorCode,
 		IDPrefix: cfg.Instance,
-	}
-	if s.spec != nil {
-		jc.Speculate = s.spec.speculate
-	}
-	s.jobs = jobs.NewManager(jc)
+	})
 	return s
 }
 
@@ -432,16 +415,6 @@ func (s *Server) compile(ctx context.Context, req *CompileRequest, detach bool) 
 		if !result.Cached {
 			s.passes.observe(result.Outcome.Passes)
 			s.verifies.observe(result.Outcome.Verify)
-		}
-		if s.spec != nil {
-			// Drive the speculative-precompilation policy from the sync
-			// compile path: a cache hit may redeem a speculated variant;
-			// a fresh compile nominates its own ablation variants.
-			if result.Cached {
-				s.spec.creditHit(spec.canon)
-			} else {
-				s.spec.offer(spec.job)
-			}
 		}
 		return s.response(spec, result), nil
 	})

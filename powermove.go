@@ -25,8 +25,8 @@
 package powermove
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 
 	"powermove/internal/arch"
@@ -281,18 +281,19 @@ func OpenResultStore(dir string, maxBytes int64) (*ResultStore, error) {
 func NewServer(cfg ServerConfig) *Server { return service.New(cfg) }
 
 // CompileJSON executes one service compile request one-shot: req is a
-// JSON ServiceCompileRequest, the result is the canonical JSON encoding
+// JSON ServiceCompileRequest, decoded as strictly as the daemon decodes
+// a POST /v1/compile body; the result is the canonical JSON encoding
 // of its ServiceCompileResponse — byte-identical to what a powermoved
 // daemon returns for the same request on a cold cache. cmd/powermove
 // -json is a thin wrapper; CI's smoke test compares the two.
 func CompileJSON(ctx context.Context, req []byte) ([]byte, error) {
-	var creq ServiceCompileRequest
-	if err := json.Unmarshal(req, &creq); err != nil {
+	creq, err := service.DecodeCompileRequest(bytes.NewReader(req), nil)
+	if err != nil {
 		return nil, fmt.Errorf("compile request: %w", err)
 	}
 	s := NewServer(ServerConfig{Workers: 1})
 	defer s.Close()
-	resp, err := s.Compile(ctx, &creq)
+	resp, err := s.Compile(ctx, creq)
 	if err != nil {
 		return nil, err
 	}

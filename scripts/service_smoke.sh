@@ -257,48 +257,6 @@ PYEOF
 cmp "$TMP/incr-mut.json" "$TMP/incr-cold.json"
 echo "service_smoke: incremental recompile is byte-identical to a cold CLI compile"
 
-# --- Speculative precompilation ------------------------------------
-# A -speculate daemon nominates the grouping/scheme variants of a
-# fresh compile and precompiles them on idle workers; the later real
-# request for a variant is a cache hit credited to speculative_hits.
-"$TMP/powermoved" -addr "$ADDR2" -speculate &
-DAEMON2=$!
-wait_up "$ADDR2"
-curl -fsS -X POST "http://$ADDR2/v1/compile" \
-  -H 'Content-Type: application/json' -d "$REQ" > /dev/null
-SPEC_READY=""
-for _ in $(seq 1 150); do
-  curl -fsS "http://$ADDR2/metrics" > "$TMP/metrics-spec.json"
-  if python3 -c 'import json, sys
-s = json.load(open(sys.argv[1]))["speculation"]
-sys.exit(0 if s["queued"] == 0 and s["speculative_compiles"] >= 3 else 1)' "$TMP/metrics-spec.json"; then
-    SPEC_READY=1
-    break
-  fi
-  sleep 0.2
-done
-if [ -z "$SPEC_READY" ]; then
-  echo "service_smoke: speculation never drained its variant queue" >&2
-  cat "$TMP/metrics-spec.json" >&2
-  exit 1
-fi
-VARREQ='{"workload":{"family":"QFT","qubits":18},"scheme":"with-storage","aods":1,"grouping":"distance","stable":true}'
-curl -fsS -X POST "http://$ADDR2/v1/compile" \
-  -H 'Content-Type: application/json' -d "$VARREQ" > "$TMP/spec-hit.json"
-grep -q '"cached": true' "$TMP/spec-hit.json"
-curl -fsS "http://$ADDR2/metrics" > "$TMP/metrics-spec2.json"
-python3 - "$TMP/metrics-spec2.json" <<'PYEOF'
-import json, sys
-s = json.load(open(sys.argv[1]))["speculation"]
-if s["speculative_hits"] != 1:
-    sys.exit(f"speculative_hits = {s['speculative_hits']}, want 1: {s}")
-if s["saved_ms"] <= 0:
-    sys.exit(f"speculative hit did not grow the saved-time ledger: {s}")
-print("service_smoke: speculated variant served from cache with the hit credited")
-PYEOF
-kill "$DAEMON2" 2>/dev/null || true
-DAEMON2=""
-
 # --- Fleet: consistent-hash routing + shared-store failover --------
 # Two daemons with fleet identities share one -store-dir behind the
 # router. A repeated compile must route to the same backend every time
