@@ -250,7 +250,8 @@ func BenchmarkCompilePowerMove(b *testing.B) {
 }
 
 // BenchmarkCompileEnola measures the baseline's compilation on the same
-// instance; the Tcomp column of Table 3 is the ratio of these two benches.
+// instance. Table 3's Tcomp column does not come from these benches:
+// each row times its own compiles.
 func BenchmarkCompileEnola(b *testing.B) {
 	circ := workload.QAOARegular(100, 3, 9)
 	hw := DefaultArch(100, 1)

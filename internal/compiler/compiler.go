@@ -182,6 +182,9 @@ type Context struct {
 	// RNG drives randomized passes (the zoned random-mover ablation,
 	// Enola's randomized MIS restarts); nil for deterministic configs.
 	RNG *rand.Rand
+	// restarts holds the draws Enola's skipped restarts owe RNG and
+	// counts the restarts run (see misStages).
+	restarts restartLedger
 	// Stats accumulates the compilation counters. Passes update it
 	// directly; the driver attributes deltas to the running pass.
 	Stats Stats

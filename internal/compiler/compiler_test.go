@@ -229,7 +229,7 @@ func TestMISStagesDisjointAndComplete(t *testing.T) {
 		if len(gates) == 0 {
 			continue
 		}
-		stages := misStages(gates, 4, rng)
+		stages := misStages(gates, 4, rng, new(restartLedger))
 		total := 0
 		for _, st := range stages {
 			if !st.Disjoint() {
@@ -251,7 +251,7 @@ func TestMISFindsPerfectMatchingOnChain(t *testing.T) {
 	for i := 0; i+1 < 20; i++ {
 		gates = append(gates, circuit.NewCZ(i, i+1))
 	}
-	stages := misStages(gates, 64, rand.New(rand.NewSource(1)))
+	stages := misStages(gates, 64, rand.New(rand.NewSource(1)), new(restartLedger))
 	if len(stages) > 3 {
 		t.Errorf("chain scheduled into %d stages, want <= 3", len(stages))
 	}

@@ -11,6 +11,7 @@ package compiler_test
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -19,6 +20,7 @@ import (
 	"powermove/internal/collsched"
 	"powermove/internal/compiler"
 	"powermove/internal/fuse"
+	"powermove/internal/graphutil"
 	"powermove/internal/isa"
 	"powermove/internal/layout"
 	"powermove/internal/move"
@@ -115,9 +117,61 @@ func legacyZonedCompile(t *testing.T, circ *circuit.Circuit, a *arch.Arch, opts 
 	return prog, initial, stats
 }
 
+// refMISStages and refRandomMIS are the eager Enola staging kernel,
+// frozen: every restart scans its permutation, whether or not it can
+// still beat the best set. The compiler skips the restarts that cannot;
+// the tests below pin its stages to this reference.
+func refMISStages(gates []circuit.CZ, restarts int, rng *rand.Rand) []stage.Stage {
+	if len(gates) == 0 {
+		return nil
+	}
+	g := stage.ConflictGraph(gates)
+	removed := make([]bool, len(gates))
+	remaining := len(gates)
+	var stages []stage.Stage
+	for remaining > 0 {
+		best := g.MaximalIndependentSet(removed)
+		for r := 0; r < restarts; r++ {
+			if cand := refRandomMIS(g, removed, rng); len(cand) > len(best) {
+				best = cand
+			}
+		}
+		st := stage.Stage{Gates: make([]circuit.CZ, 0, len(best))}
+		for _, gi := range best {
+			st.Gates = append(st.Gates, gates[gi])
+			removed[gi] = true
+		}
+		remaining -= len(best)
+		stages = append(stages, st)
+	}
+	return stages
+}
+
+func refRandomMIS(g *graphutil.Graph, removed []bool, rng *rand.Rand) []int {
+	order := rng.Perm(g.N())
+	taken := make([]bool, g.N())
+	var mis []int
+	for _, v := range order {
+		if removed[v] {
+			continue
+		}
+		ok := true
+		for _, u := range g.Adjacent(v) {
+			if taken[u] {
+				ok = false
+				break
+			}
+		}
+		if ok {
+			taken[v] = true
+			mis = append(mis, v)
+		}
+	}
+	return mis
+}
+
 // legacyEnolaCompile is the pre-refactor enola.Compile loop, verbatim
-// (the MIS helpers live in the compiler package and are pinned by their
-// own unit tests there).
+// except that it stages through the frozen eager reference above.
 func legacyEnolaCompile(t *testing.T, circ *circuit.Circuit, a *arch.Arch, restarts int, seed int64) (*isa.Program, *layout.Layout, legacyStats) {
 	t.Helper()
 	home := layout.New(a, circ.Qubits)
@@ -140,7 +194,7 @@ func legacyEnolaCompile(t *testing.T, circ *circuit.Circuit, a *arch.Arch, resta
 				r = compiler.MinRestarts
 			}
 		}
-		for _, st := range compiler.MISStagesForTest(b.Gates, r, rng) {
+		for _, st := range refMISStages(b.Gates, r, rng) {
 			var forward []move.Move
 			for _, g := range st.Gates {
 				forward = append(forward, move.New(a, g.A, home.SiteOf(g.A), home.SiteOf(g.B)))
@@ -302,6 +356,47 @@ func TestEnolaMatchesLegacyCompile(t *testing.T) {
 			}
 			prog, initial, stats := legacyEnolaCompile(t, c, a, restarts, 1)
 			compare(t, c.Name, res, prog, initial, stats)
+		}
+	}
+}
+
+// TestEnolaStagesMatchEagerReference: on random dense multi-block
+// circuits, one compile's stages equal the eager reference's, block by
+// block, when both start from the same seed. Dense blocks make
+// extractions whose greedy set falls short of the matching bound
+// common, so restarts run in later blocks too, and each must see the
+// draws every earlier skipped restart owed.
+func TestEnolaStagesMatchEagerReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 400; trial++ {
+		cfg := workload.RandomConfig{
+			Qubits:  4 + rng.Intn(10),
+			Blocks:  2 + rng.Intn(5),
+			Density: 0.5 + 0.5*rng.Float64(),
+		}
+		seed := rng.Int63()
+		restarts := 1 + rng.Intn(4)
+		circ := workload.Random(cfg, seed)
+		p, err := compiler.Enola(compiler.EnolaConfig{Restarts: restarts, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := p.Run(circ, arch.New(arch.Config{Qubits: cfg.Qubits}))
+		if err != nil {
+			t.Fatalf("%s: %v", circ.Name, err)
+		}
+		ref := rand.New(rand.NewSource(seed))
+		for bi, got := range blockStages(t, circ, res.Program) {
+			want := refMISStages(circ.Blocks[bi].Gates, restarts, ref)
+			if len(got) != len(want) {
+				t.Fatalf("%s, %d restarts: block %d has %d stages, reference %d", circ.Name, restarts, bi, len(got), len(want))
+			}
+			for si := range got {
+				if !slices.Equal(got[si], want[si].Gates) {
+					t.Fatalf("%s, %d restarts: block %d stage %d = %v, reference %v",
+						circ.Name, restarts, bi, si, got[si], want[si].Gates)
+				}
+			}
 		}
 	}
 }

@@ -19,17 +19,21 @@ import (
 )
 
 // MinRestarts is the floor on the Enola pipeline's instance-scaled
-// restart count: each stage extraction tries at least this many random
+// restart count: each stage extraction tries up to this many random
 // greedy orders and keeps the largest independent set found. The
 // default effort is max(MinRestarts, 2 * gates-in-block), approximating
 // the scaling of the original's Maximum-Independent-Set solver.
+// Restarts that can no longer beat the best set are skipped (see
+// misStages), so the effort is a budget, not a cost.
 const MinRestarts = 16
 
 // EnolaConfig configures one baseline pipeline.
 type EnolaConfig struct {
 	// Restarts is the number of randomized restarts per
 	// maximal-independent-set extraction; zero selects the default
-	// instance-scaled effort (see MinRestarts). Negative counts fail
+	// instance-scaled effort (see MinRestarts). An extraction stops
+	// early once its best set reaches the maximum matching of the gates
+	// left, which leaves the stages unchanged. Negative counts fail
 	// Enola.
 	Restarts int
 	// Seed drives the randomized restarts.
@@ -72,9 +76,11 @@ func Enola(cfg EnolaConfig) (*Pipeline, error) {
 }
 
 // misStagePass schedules the block by iterated maximal-independent-set
-// extraction with randomized restarts — the baseline's
-// quality-over-speed trade-off and the source of its large compile
-// times.
+// extraction with randomized restarts, the baseline's
+// quality-over-speed trade-off. Restarts run only in the extractions
+// whose greedy set falls short of the matching bound (see misStages), so
+// the pass costs about one greedy set and one maximum matching per
+// stage.
 func misStagePass(restarts int) Pass {
 	return NewPassEffects("mis-stage", ReadsBlock|ReadsConfig|ReadsRNG, func(ctx *Context) error {
 		r := restarts
@@ -84,7 +90,7 @@ func misStagePass(restarts int) Pass {
 				r = MinRestarts
 			}
 		}
-		ctx.Stages = misStages(ctx.Block.Gates, r, ctx.RNG)
+		ctx.Stages = misStages(ctx.Block.Gates, r, ctx.RNG, &ctx.restarts)
 		ctx.Stats.Stages += len(ctx.Stages)
 		return nil
 	})
@@ -143,19 +149,39 @@ func enolaEmitPass() Pass {
 // misStages partitions a commutable block into Rydberg stages by
 // repeatedly extracting a maximal independent set from the gate
 // conflict graph. Each extraction runs the deterministic
-// min-residual-degree greedy plus the configured number of
+// min-residual-degree greedy plus up to the configured number of
 // random-permutation restarts and keeps the largest set found.
-func misStages(gates []circuit.CZ, restarts int, rng *rand.Rand) []stage.Stage {
+//
+// Two gates conflict iff they share a qubit, so every independent set is
+// a matching of the remaining gates' interaction graph and none is
+// larger than ν, its maximum matching. A restart replaces the best set
+// only with a strictly larger one, so once the best set has ν gates the
+// remaining restarts cannot change the stage; they are skipped and owe
+// only their random draws, which ledger settles before the next restart
+// that runs. The stages are therefore exactly those of running every
+// restart.
+func misStages(gates []circuit.CZ, restarts int, rng *rand.Rand, ledger *restartLedger) []stage.Stage {
 	if len(gates) == 0 {
 		return nil
 	}
 	g := stage.ConflictGraph(gates)
 	removed := make([]bool, len(gates))
 	remaining := len(gates)
+	var bound matchingBound
 	var stages []stage.Stage
 	for remaining > 0 {
 		best := g.MaximalIndependentSet(removed)
+		nu := bound.of(gates, removed)
 		for r := 0; r < restarts; r++ {
+			if len(best) == nu {
+				ledger.skip(g.N(), restarts-r)
+				break
+			}
+			ledger.settle(rng)
+			ledger.ran++
+			if r == 0 {
+				ledger.searched++
+			}
 			if cand := randomMIS(g, removed, rng); len(cand) > len(best) {
 				best = cand
 			}
@@ -169,6 +195,65 @@ func misStages(gates []circuit.CZ, restarts int, rng *rand.Rand) []stage.Stage {
 		stages = append(stages, st)
 	}
 	return stages
+}
+
+// matchingBound computes ν for the extractions of one block, reusing
+// its matcher's scratch from one extraction to the next.
+type matchingBound struct {
+	m     graphutil.Matcher
+	edges [][2]int
+}
+
+// of returns the size of a maximum matching of the interaction graph of
+// the gates not yet removed.
+func (b *matchingBound) of(gates []circuit.CZ, removed []bool) int {
+	b.edges = b.edges[:0]
+	n := 0
+	for i, g := range gates {
+		if !removed[i] {
+			b.edges = append(b.edges, [2]int{g.A, g.B})
+			n = max(n, g.B+1)
+		}
+	}
+	return b.m.MaxMatching(n, b.edges)
+}
+
+// restartLedger is the Enola pipeline's per-compile restart accounting.
+// A skipped restart still owes the compile's RNG the rng.Perm(n) draw it
+// would have made; the ledger keeps those debts in order and pays them
+// just before the next restart that runs, in this block or a later one,
+// so every restart that runs sees the RNG state it would have seen had
+// every restart run. Debts still open when the compile ends are dropped:
+// only the mis-stage pass reads Enola's RNG, each Run seeds a fresh one,
+// and Enola never checkpoints.
+type restartLedger struct {
+	owed []owedPerms
+	// ran counts the restarts run; searched counts the extractions
+	// that ran at least one.
+	ran, searched int
+}
+
+// owedPerms is a run of count skipped rng.Perm(n) draws.
+type owedPerms struct{ n, count int }
+
+// skip records count skipped restarts over an n-vertex conflict graph.
+func (l *restartLedger) skip(n, count int) {
+	if k := len(l.owed); k > 0 && l.owed[k-1].n == n {
+		l.owed[k-1].count += count
+		return
+	}
+	l.owed = append(l.owed, owedPerms{n, count})
+}
+
+// settle makes every owed draw, in order, with the call the skipped
+// restart would have made.
+func (l *restartLedger) settle(rng *rand.Rand) {
+	for _, o := range l.owed {
+		for i := 0; i < o.count; i++ {
+			rng.Perm(o.n)
+		}
+	}
+	l.owed = l.owed[:0]
 }
 
 // randomMIS builds a maximal independent set by scanning the unremoved

@@ -2,8 +2,8 @@
 // built on: a compact undirected graph, the degree-ordered greedy coloring
 // of Algorithm 1 of the paper (used by the Sec. 4 stage scheduler), the
 // iterated maximal-independent-set extraction used by the Enola baseline
-// (Sec. 3), and the random-graph generators behind the QAOA workloads
-// (Sec. 7.1).
+// (Sec. 3) and the maximum matching that bounds it, and the random-graph
+// generators behind the QAOA workloads (Sec. 7.1).
 package graphutil
 
 import (
@@ -204,8 +204,8 @@ func (g *Graph) ValidColoring(color []int) bool {
 // MaximalIndependentSet returns a maximal independent set of the subgraph
 // induced by the still-unmarked vertices (removed[v] == false), using the
 // classic min-residual-degree greedy rule. The Enola baseline extracts its
-// Rydberg stages by calling this repeatedly, which is the source of its
-// higher compilation cost relative to one-shot coloring.
+// Rydberg stages by calling this repeatedly, each call the start of one
+// extraction's search.
 func (g *Graph) MaximalIndependentSet(removed []bool) []int {
 	if len(removed) != g.n {
 		panic(fmt.Sprintf("graphutil: removed mask has length %d, want %d", len(removed), g.n))

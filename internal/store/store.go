@@ -12,13 +12,18 @@
 // Durability and safety properties:
 //
 //   - Writes are atomic: payloads land in a temp file in the store
-//     directory and are renamed into place, so a crash never leaves a
-//     half-written entry and concurrent processes sharing a directory
-//     never observe torn reads.
+//     directory and are renamed into place, so concurrent processes
+//     sharing a directory never observe torn reads, and a writer that
+//     dies mid-Put leaves only a temp file.
+//   - Writes are not durable: Put does not fsync, since a disk flush on
+//     every compile would slow every cold request. After a power loss
+//     or an OS crash an entry's file can hold fewer bytes than were
+//     written; the read's parse and checksum turn such a torn write
+//     into a miss.
 //   - Reads are integrity-checked: an entry whose embedded key does not
 //     match the request (a SHA-256 prefix collision, or a file copied
-//     between stores) or whose checksum does not match its payload is
-//     treated as a miss, counted, and deleted.
+//     between stores), that does not parse, or whose checksum does not
+//     match its payload is treated as a miss, counted, and deleted.
 //   - Size is bounded: when the configured byte budget is exceeded, the
 //     least recently used entries (by file mtime, refreshed on every
 //     hit) are garbage-collected oldest-first until the store fits.

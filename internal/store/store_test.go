@@ -111,6 +111,48 @@ func TestIntegrity(t *testing.T) {
 	}
 }
 
+// TestTruncatedEntryIsCorruptMiss: Put does not fsync, so a crash can
+// leave an entry cut short. Cut at every byte offset, a valid entry
+// reads as a corrupt miss and is removed, and the next Put and Get hit
+// again.
+func TestTruncatedEntryIsCorruptMiss(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const key = "QFT-6/with-storage/1aod"
+	payload := []byte(`{"fidelity":0.5,"stages":3}`)
+	if err := s.Put(key, payload); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, fileFor(key))
+	valid, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cut := 0; cut < len(valid); cut++ {
+		if err := os.WriteFile(path, valid[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := s.Get(key); ok {
+			t.Fatalf("entry cut at byte %d served as a hit", cut)
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Fatalf("entry cut at byte %d not deleted", cut)
+		}
+		if st := s.Stats(); st.Corrupt != int64(cut+1) {
+			t.Fatalf("cut at byte %d: Corrupt = %d, want %d", cut, st.Corrupt, cut+1)
+		}
+		if err := s.Put(key, payload); err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := s.Get(key); !ok || string(got) != string(payload) {
+			t.Fatalf("after the cut at byte %d: Get = %q, %v; want the payload", cut, got, ok)
+		}
+	}
+}
+
 // TestGC: exceeding the byte budget evicts oldest-mtime entries first,
 // and a Get refreshes an entry's position in the LRU order.
 func TestGC(t *testing.T) {
