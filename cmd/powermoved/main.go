@@ -1,6 +1,7 @@
 // Command powermoved is the long-running compile service: an HTTP
 // daemon over the PowerMove batch engine with a shared LRU compile
-// cache and singleflight request dedup (internal/service).
+// cache whose entries also dedup concurrent identical requests
+// (internal/service).
 //
 //	powermoved                        # serve on :8077
 //	powermoved -addr :9000 -workers 4 -cache-size 512

@@ -98,7 +98,8 @@ func main() {
 		async.Bench, async.Fidelity, async.TexeUS, async.Cached)
 
 	// The daemon's accounting: cache hits/misses/evictions, compiles,
-	// singleflight dedups, queue counters, per-endpoint latency.
+	// requests that joined another's compile in flight (deduped), queue
+	// counters, per-endpoint latency.
 	var metrics struct {
 		Cache    json.RawMessage `json:"cache"`
 		Compiles int64           `json:"compiles"`

@@ -6,10 +6,11 @@
 // semantics over bounded memory, and both report their counters — the
 // pipeline in its run stats, the service on /metrics.
 //
-// The cache stores values, not computations. Callers that must compute a
-// value at most once per key (singleflight) store a handle whose
-// computation is guarded separately — see pipeline.Cache for the idiom —
-// so the cache lock is never held across a compute.
+// The cache stores values, not computations. A caller that must compute
+// a value at most once per key stores a handle that owns the in-flight
+// computation and runs it outside the cache lock, dropping a stale handle
+// with RemoveIf — see pipeline.Cache, whose entries are the compile
+// service's one in-flight dedup.
 package cache
 
 import (
@@ -124,10 +125,18 @@ func (c *LRU[K, V]) put(key K, val V) {
 
 // Remove drops key if present, reporting whether it was.
 func (c *LRU[K, V]) Remove(key K) bool {
+	return c.RemoveIf(key, func(V) bool { return true })
+}
+
+// RemoveIf drops key if present and match accepts its value, reporting
+// whether it did. match runs under the cache lock, so a caller can drop
+// exactly the value it saw (say, a handle another caller has since
+// replaced stays put) without a window between the test and the removal.
+func (c *LRU[K, V]) RemoveIf(key K, match func(V) bool) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
-	if !ok {
+	if !ok || !match(el.Value.(*lruEntry[K, V]).val) {
 		return false
 	}
 	c.order.Remove(el)

@@ -196,10 +196,11 @@ type Runner struct {
 	// its shared LRU here so /v1/experiments reuses /v1/compile work and
 	// vice versa). Nil allocates a private unbounded cache on first run.
 	Cache *pipeline.Cache
-	// Sem, when set, is an external concurrency gate shared with other
-	// pipeline users (see pipeline.Options.Sem); the compile service
-	// passes its compile semaphore so experiment runs respect the
-	// service-wide worker bound.
+	// Sem, when set, holds compile slots shared with other pipeline
+	// users (see pipeline.Options.Sem): each point's compile takes one
+	// while it compiles, and a cache hit takes none. The compile service
+	// passes its slots so experiment runs respect the service-wide
+	// worker bound.
 	Sem chan struct{}
 	// Snapshots, when set, is the incremental-compilation snapshot store
 	// (see pipeline.Options.Snapshots); the compile service shares its

@@ -1,11 +1,11 @@
 // Package fleet is the routing tier over N powermoved backends: a
 // consistent-hash ring maps each request's canonical compile key
-// (service.RoutingKey — the same pipeline.Key the LRU cache,
-// singleflight group, and disk store address by) onto one backend, so
-// identical compiles always land on the daemon whose caches already
-// hold them. Around the ring sit an active health checker with bounded
-// backoff (health.go) and a proxying router with next-replica failover
-// and fleet-wide metrics aggregation (router.go).
+// (service.RoutingKey — the same pipeline.Key the LRU cache and the
+// disk store address by) onto one backend, so identical compiles always
+// land on the daemon whose caches already hold them. Around the ring sit
+// an active health checker with bounded backoff (health.go) and a
+// proxying router with next-replica failover and fleet-wide metrics
+// aggregation (router.go).
 package fleet
 
 import (

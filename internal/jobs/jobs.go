@@ -13,19 +13,13 @@
 // Admission is strict: when the queue holds Depth jobs, Submit returns
 // ErrFull and the caller sheds load (HTTP 429 + Retry-After) instead of
 // queueing unbounded work. Within the queue, higher Priority runs first
-// and equal priorities run FIFO.
-//
-// A submission carrying a non-empty Key whose key already has an active
-// (queued or running) job does not consume a queue slot: it attaches to
-// that leader and runs only once the leader finishes — by then the
-// outcome is in the compile cache, so the follower's run is a cache hit
-// and the pair costs one compile. If the leader is canceled instead, its
-// followers are re-admitted through the normal bounded queue.
+// and equal priorities run FIFO. Every job takes its own queue slot.
 //
 // The manager knows nothing about compiles: execution is delegated to
 // the configured Runner, which receives the job's context (canceled by
 // DELETE or manager shutdown) and a progress callback feeding the job's
-// event stream.
+// event stream. Two jobs for one compile share it below the queue, in
+// the compile cache, where each waits under its own context.
 package jobs
 
 import (
@@ -35,6 +29,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
@@ -75,10 +70,9 @@ type Event struct {
 
 // stateData is the payload of a "state" event.
 type stateData struct {
-	ID         string `json:"id"`
-	State      State  `json:"state"`
-	AttachedTo string `json:"attached_to,omitempty"`
-	Error      *Error `json:"error,omitempty"`
+	ID    string `json:"id"`
+	State State  `json:"state"`
+	Error *Error `json:"error,omitempty"`
 }
 
 // Snapshot is the public view of a job at one instant.
@@ -93,9 +87,6 @@ type Snapshot struct {
 	Finished *time.Time `json:"finished,omitempty"`
 	// QueueMS is the measured admission-to-start latency.
 	QueueMS float64 `json:"queue_ms,omitempty"`
-	// AttachedTo names the leader this job attached to, when it rode an
-	// in-flight submission of the same key instead of a queue slot.
-	AttachedTo string `json:"attached_to,omitempty"`
 	// Request echoes the submitted payload; Result carries the outcome
 	// document once done. Both are omitted from List snapshots.
 	Request json.RawMessage `json:"request,omitempty"`
@@ -114,9 +105,6 @@ type Spec struct {
 	// Priority orders the queue: higher runs first, equal is FIFO.
 	// Valid range [0, MaxPriority].
 	Priority int
-	// Key, when non-empty, is the job's dedup identity: a submission
-	// whose key has an active job attaches to it instead of enqueueing.
-	Key string
 }
 
 // MaxPriority bounds Spec.Priority.
@@ -249,11 +237,13 @@ type Metrics struct {
 	Done      int64 `json:"done"`
 	Failed    int64 `json:"failed"`
 	Canceled  int64 `json:"canceled"`
-	// Attached counts submissions that rode an active job of their key
-	// instead of a queue slot; Shed counts submissions rejected with
-	// ErrFull (HTTP 429s).
+	// Attached always reads 0: jobs no longer attach to an active job
+	// of the same key (duplicate compiles share the compile cache's
+	// entry instead). The field stays only because the benchmark
+	// harness reads it.
 	Attached int64 `json:"attached"`
-	Shed     int64 `json:"shed"`
+	// Shed counts submissions rejected with ErrFull (HTTP 429s).
+	Shed int64 `json:"shed"`
 	// QueueLatency is the admission-to-start histogram.
 	QueueLatency Histogram `json:"queue_latency"`
 }
@@ -263,7 +253,6 @@ type job struct {
 	id       string
 	seq      int64
 	kind     string
-	key      string
 	priority int
 	state    State
 
@@ -277,9 +266,6 @@ type job struct {
 
 	cancelRequested bool
 	cancel          context.CancelFunc // non-nil while running
-
-	attachedTo string
-	followers  []*job
 
 	// events is the replayable history; progress events are collapsed
 	// to the latest so a 1000-point batch doesn't retain 1000 entries.
@@ -296,9 +282,8 @@ type Manager struct {
 	cond *sync.Cond
 
 	jobs   map[string]*job
-	order  []*job          // creation order, for List
-	queues [][]*job        // index = priority; FIFO within
-	byKey  map[string]*job // active leader per dedup key
+	order  []*job   // creation order, for List
+	queues [][]*job // index = priority; FIFO within
 	depth  int
 	seq    int64
 	closed bool
@@ -306,7 +291,7 @@ type Manager struct {
 
 	submitted, started     int64
 	done, failed, canceled int64
-	attached, shed         int64
+	shed                   int64
 	hist                   Histogram
 
 	// panics counts recovered Runner panics.
@@ -341,7 +326,6 @@ func NewManager(cfg Config) *Manager {
 		cfg:    cfg,
 		jobs:   make(map[string]*job),
 		queues: make([][]*job, MaxPriority+1),
-		byKey:  make(map[string]*job),
 		stop:   make(chan struct{}),
 		hist:   Histogram{BucketMS: latencyBucketsMS, Counts: make([]int64, len(latencyBucketsMS)+1)},
 	}
@@ -385,24 +369,11 @@ func (m *Manager) Submit(spec Spec) (Snapshot, error) {
 	if m.closed {
 		return Snapshot{}, ErrClosed
 	}
-	if spec.Key != "" {
-		if leader, ok := m.byKey[spec.Key]; ok && !leader.state.Terminal() {
-			j := m.newJobLocked(spec)
-			j.attachedTo = leader.id
-			leader.followers = append(leader.followers, j)
-			m.attached++
-			m.emitStateLocked(j)
-			return j.snapshot(true), nil
-		}
-	}
 	if m.depth >= m.cfg.Depth {
 		m.shed++
 		return Snapshot{}, ErrFull
 	}
 	j := m.newJobLocked(spec)
-	if spec.Key != "" {
-		m.byKey[spec.Key] = j
-	}
 	m.queues[j.priority] = append(m.queues[j.priority], j)
 	m.depth++
 	m.emitStateLocked(j)
@@ -424,7 +395,6 @@ func (m *Manager) newJobLocked(spec Spec) *job {
 		id:          id,
 		seq:         m.seq,
 		kind:        spec.Kind,
-		key:         spec.Key,
 		priority:    spec.Priority,
 		state:       StateQueued,
 		created:     time.Now(),
@@ -511,14 +481,15 @@ func (m *Manager) execute(ctx context.Context, j *job) {
 	}
 }
 
-// run calls the Runner. A panic inside it becomes the job's error, with
-// the stack, so one bad job fails instead of the process and every job
-// in flight.
+// run calls the Runner. A panic inside it becomes the job's error, so
+// one bad job fails instead of the process and every job in flight; the
+// stack goes to the log, not into the job's error.
 func (m *Manager) run(ctx context.Context, j *job) (out json.RawMessage, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			m.panics.Add(1)
-			out, err = nil, &runnerPanic{value: v, stack: debug.Stack()}
+			log.Printf("jobs: panic running %s: %v\n%s", j.id, v, debug.Stack())
+			out, err = nil, &runnerPanic{value: v}
 		}
 	}()
 	return m.cfg.Run(ctx, j.snapshot(true), func(done, total int) {
@@ -528,21 +499,15 @@ func (m *Manager) run(ctx context.Context, j *job) (out json.RawMessage, err err
 
 // runnerPanic is a recovered Runner panic. Its job fails with code
 // "internal" whatever Config.CodeOf says.
-type runnerPanic struct {
-	value any
-	stack []byte
-}
+type runnerPanic struct{ value any }
 
-func (p *runnerPanic) Error() string { return fmt.Sprintf("jobs: panic: %v\n%s", p.value, p.stack) }
+func (p *runnerPanic) Error() string { return fmt.Sprintf("jobs: panic: %v", p.value) }
 
 // Panics returns the number of Runner panics the manager has recovered.
 func (m *Manager) Panics() int64 { return m.panics.Load() }
 
-// finishLocked records a terminal state, notifies subscribers, and
-// settles followers: a done or failed leader releases them to run
-// directly (their outcome is by now a cache hit — or the identical
-// cached failure), a canceled leader re-admits them through the bounded
-// queue. Called with m.mu held.
+// finishLocked records a terminal state and notifies subscribers.
+// Called with m.mu held.
 func (m *Manager) finishLocked(j *job, state State, result json.RawMessage, jerr *Error) {
 	j.state = state
 	j.finished = time.Now()
@@ -561,67 +526,12 @@ func (m *Manager) finishLocked(j *job, state State, result json.RawMessage, jerr
 		close(ch)
 	}
 	j.subs = nil
-	if j.key != "" && m.byKey[j.key] == j {
-		delete(m.byKey, j.key)
-	}
-	followers := j.followers
-	j.followers = nil
-	for _, f := range followers {
-		if f.state != StateQueued || f.cancelRequested {
-			continue // canceled while attached; already settled
-		}
-		if state == StateCanceled {
-			m.readmitLocked(f)
-		} else {
-			go m.runFollower(f)
-		}
-	}
 }
 
-// readmitLocked moves a follower of a canceled leader into the normal
-// queue, shedding it if the queue is full. Called with m.mu held.
-func (m *Manager) readmitLocked(f *job) {
-	if m.closed {
-		m.finishLocked(f, StateCanceled, nil, &Error{Code: "canceled", Message: "job canceled: service shutting down"})
-		return
-	}
-	if m.depth >= m.cfg.Depth {
-		m.shed++
-		m.finishLocked(f, StateFailed, nil, &Error{Code: "queue_full", Message: "leader canceled and the queue is full"})
-		return
-	}
-	f.attachedTo = ""
-	if f.key != "" {
-		if _, taken := m.byKey[f.key]; !taken {
-			m.byKey[f.key] = f
-		}
-	}
-	m.queues[f.priority] = append(m.queues[f.priority], f)
-	m.depth++
-	m.cond.Signal()
-}
-
-// runFollower executes a released follower outside the worker pool: its
-// leader already computed the outcome, so this run is a cache hit and
-// costs no compile slot (any genuine compile underneath is still
-// bounded by the service's compile semaphore).
-func (m *Manager) runFollower(f *job) {
-	ctx, cancel := context.WithCancel(context.Background())
-	m.mu.Lock()
-	if f.state != StateQueued || f.cancelRequested {
-		m.mu.Unlock()
-		cancel()
-		return
-	}
-	m.startLocked(f, cancel)
-	m.mu.Unlock()
-	m.execute(ctx, f)
-}
-
-// Cancel requests a job's cancellation: queued (or attached) jobs settle
-// to canceled immediately and never run; running jobs have their context
-// canceled and settle when the Runner returns. Canceling a finished job
-// returns ErrTerminal with the job's final snapshot.
+// Cancel requests a job's cancellation: queued jobs settle to canceled
+// immediately and never run; running jobs have their context canceled
+// and settle when the Runner returns. Canceling a finished job returns
+// ErrTerminal with the job's final snapshot.
 func (m *Manager) Cancel(id string) (Snapshot, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -634,9 +544,7 @@ func (m *Manager) Cancel(id string) (Snapshot, error) {
 		return j.snapshot(true), ErrTerminal
 	case j.state == StateQueued:
 		j.cancelRequested = true
-		if j.attachedTo == "" {
-			m.depth-- // popLocked will skip the stale queue entry
-		}
+		m.depth-- // popLocked will skip the stale queue entry
 		m.finishLocked(j, StateCanceled, nil, &Error{Code: "canceled", Message: "job canceled"})
 	default: // running
 		j.cancelRequested = true
@@ -743,7 +651,6 @@ func (m *Manager) Metrics() Metrics {
 		Done:         m.done,
 		Failed:       m.failed,
 		Canceled:     m.canceled,
-		Attached:     m.attached,
 		Shed:         m.shed,
 		QueueLatency: h,
 	}
@@ -814,7 +721,7 @@ func (m *Manager) purge(cutoff time.Time) {
 // emitStateLocked appends and fans out a state event. Called with m.mu
 // held.
 func (m *Manager) emitStateLocked(j *job) {
-	data, err := json.Marshal(stateData{ID: j.id, State: j.state, AttachedTo: j.attachedTo, Error: j.jerr})
+	data, err := json.Marshal(stateData{ID: j.id, State: j.state, Error: j.jerr})
 	if err != nil {
 		return
 	}
@@ -865,13 +772,12 @@ func (m *Manager) sendLocked(j *job, ev Event) {
 // snapshot renders the job's public view. Called with m.mu held.
 func (j *job) snapshot(payloads bool) Snapshot {
 	s := Snapshot{
-		ID:         j.id,
-		Kind:       j.kind,
-		State:      j.state,
-		Priority:   j.priority,
-		Created:    j.created,
-		AttachedTo: j.attachedTo,
-		Error:      j.jerr,
+		ID:       j.id,
+		Kind:     j.kind,
+		State:    j.state,
+		Priority: j.priority,
+		Created:  j.created,
+		Error:    j.jerr,
 	}
 	if !j.started.IsZero() {
 		t := j.started

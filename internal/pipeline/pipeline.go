@@ -21,6 +21,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -192,7 +193,8 @@ type Result struct {
 	// Elapsed is the wall-clock time this job occupied a worker. For a
 	// cache hit this is near zero when the outcome was already
 	// computed, but includes the full wait when the job blocked on
-	// another worker's in-flight compile of the same key.
+	// another job's in-flight compile of the same key; a compile's
+	// includes its wait for a compile slot.
 	Elapsed time.Duration
 	// Cached reports whether the outcome was served by the cache
 	// rather than compiled by this job.
@@ -213,12 +215,14 @@ type Options struct {
 	// outcomes with previous and concurrent runs. Nil uses a private
 	// per-run cache (duplicate keys within the run still compile once).
 	Cache *Cache
-	// Sem, when set, is an external concurrency gate shared across
-	// runs: every worker acquires a slot before executing a job and
-	// releases it afterwards, so concurrent runs holding the same
-	// channel are jointly bounded by its capacity (the compile service
-	// shares one gate across all requests). Within a run, Workers still
-	// applies; the effective bound is the smaller of the two.
+	// Sem, when set, holds compile slots shared across runs: a job's
+	// compile takes a slot inside the cache's computation and holds it
+	// only while compiling, so concurrent runs holding the same channel
+	// never compile more keys at once than its capacity (the compile
+	// service shares one across all requests). A cache hit, a read from
+	// the cache's second tier and a wait on another job's in-flight
+	// compile hold no slot. Workers still bounds the run's concurrent
+	// jobs.
 	Sem chan struct{}
 	// Snapshots, when set, is the per-block snapshot store: fresh
 	// compiles of resumable pipelines capture per-block checkpoints into
@@ -236,7 +240,8 @@ type Stats struct {
 	// bound after defaulting to GOMAXPROCS and clamping to the job
 	// count.
 	Workers int
-	// Compiles is the number of jobs that actually compiled.
+	// Compiles is the number of jobs whose compile ran: jobs that
+	// started their key's computation and took a compile slot.
 	Compiles int
 	// CacheHits is the number of jobs served from the cache — including
 	// jobs that waited on another in-flight job with the same key, and
@@ -247,9 +252,11 @@ type Stats struct {
 }
 
 // Cache is a keyed outcome cache safe for concurrent use, backed by the
-// generic LRU of internal/cache. A key is computed at most once while its
-// entry is resident: concurrent requests for an uncomputed key block
-// until the first computation finishes and then share its outcome. A
+// generic LRU of internal/cache. It is also the one in-flight dedup of
+// everything that compiles through it: the first lookup of a key creates
+// an entry that owns the key's computation, every lookup of the key
+// waits on that entry under its own context, and the computation is
+// canceled only when its last waiter leaves (see getOrCompute). A
 // bounded cache (NewCacheBounded) evicts least-recently-used outcomes,
 // trading recompilation for bounded memory — the right shape for a
 // long-running server; batch runs use the unbounded NewCache, whose
@@ -258,36 +265,59 @@ type Cache struct {
 	init sync.Once
 	cap  int
 	lru  *cache.LRU[Key, *cacheEntry]
+	// mu guards every entry's waiters and cancel, so a lookup joining an
+	// entry and the entry's last waiter leaving never interleave.
+	mu sync.Mutex
 	// tier, when set, is the second cache level: consulted on a miss
 	// before computing, written through after a fresh computation. Set
 	// before concurrent use (SetTier); read without synchronization.
 	tier Tier
-	// panics counts computations that panicked (see PanicError).
-	panics atomic.Int64
+	// panics counts computations that panicked (see PanicError),
+	// compiles those that took a compile slot and ran, joins the lookups
+	// that waited on another lookup's computation.
+	panics, compiles, joins atomic.Int64
 }
 
 // Panics returns the number of computations through this cache that
 // panicked and were recovered into a PanicError.
 func (c *Cache) Panics() int64 { return c.panics.Load() }
 
+// Compiles returns the number of computations through this cache that
+// took a compile slot and ran — counted whether or not any lookup still
+// waited for them.
+func (c *Cache) Compiles() int64 { return c.compiles.Load() }
+
+// Joins returns the number of lookups that found their key's computation
+// in flight and waited on it instead of starting another.
+func (c *Cache) Joins() int64 { return c.joins.Load() }
+
 // PanicError is a panic recovered from one job's compile. The job fails
 // with it instead of taking the process down with every job in flight.
 type PanicError struct {
 	// Value is what the compile panicked with.
 	Value any
-	// Stack is the panicking goroutine's stack.
+	// Stack is the panicking goroutine's stack. Error leaves it out, so
+	// it never reaches a client; the recover site logs it once.
 	Stack []byte
 }
 
-func (e *PanicError) Error() string { return fmt.Sprintf("pipeline: panic: %v\n%s", e.Value, e.Stack) }
+func (e *PanicError) Error() string { return fmt.Sprintf("pipeline: panic: %v", e.Value) }
 
+// cacheEntry is one key's outcome and, until the outcome is known, the
+// computation producing it.
 type cacheEntry struct {
-	once    sync.Once
+	// done is closed once outcome, err and tierHit are final.
+	done    chan struct{}
 	outcome Outcome
 	err     error
 	// tierHit records that outcome came from the second tier rather
-	// than a computation; written inside once, read after it.
+	// than a computation.
 	tierHit bool
+	// waiters counts the lookups waiting on done; cancel cancels the
+	// computation's context and is nil once the computation has
+	// finished. Both are guarded by Cache.mu.
+	waiters int
+	cancel  context.CancelFunc
 }
 
 // Tier is a second cache level behind the in-memory Cache — typically a
@@ -328,42 +358,123 @@ func (c *Cache) Len() int { return c.ensure().Len() }
 // their key.
 func (c *Cache) Stats() cache.Stats { return c.ensure().Stats() }
 
-// getOrCompute returns the outcome for key, running compute at most once
+// getOrCompute returns the outcome for key, computing it at most once
 // per resident entry. The boolean reports whether the outcome was served
-// rather than computed: either the entry already existed (possibly still
-// in flight on another goroutine, in which case the call blocks until
-// that computation finishes) or the second tier had it. Fresh
-// computations are written through to the tier; cancellation errors and
-// recovered panics are evicted so neither poisons the key for later
-// callers.
-func (c *Cache) getOrCompute(key Key, canon string, compute func() (Outcome, error)) (Outcome, error, bool) {
-	e, hit := c.ensure().GetOrAdd(key, func() *cacheEntry { return &cacheEntry{} })
-	e.once.Do(func() {
-		if c.tier != nil {
-			if o, ok := c.tier.Get(key, canon); ok {
-				e.outcome, e.tierHit = o, true
-				return
+// rather than computed for this lookup: the entry already existed
+// (possibly still in flight, in which case this lookup joined it) or the
+// second tier had it.
+//
+// The lookup that creates an entry starts its computation on a goroutine
+// of its own, under a context of its own; every lookup, that one
+// included, then waits for the outcome or for its own ctx. A lookup that
+// leaves returns ctx.Err at once. When the last one leaves, the
+// computation's context is canceled: a computation still waiting for a
+// slot of sem is dropped, while one already compiling runs to the end and
+// fills the cache, because the compilers take no context. A lookup that
+// finds an in-flight entry nobody waits for replaces it and starts
+// afresh, so no lookup ever receives another's cancellation.
+func (c *Cache) getOrCompute(ctx context.Context, key Key, canon string, sem chan struct{}, compute func() (Outcome, error)) (Outcome, error, bool) {
+	if err := ctx.Err(); err != nil {
+		return Outcome{}, err, false
+	}
+	lru := c.ensure()
+	c.mu.Lock()
+	lru.RemoveIf(key, func(e *cacheEntry) bool { return e.cancel != nil && e.waiters == 0 })
+	e, found := lru.GetOrAdd(key, func() *cacheEntry { return &cacheEntry{done: make(chan struct{})} })
+	switch {
+	case !found:
+		// The entry, not this lookup, owns the computation, so its
+		// context derives from no lookup's.
+		var cctx context.Context
+		cctx, e.cancel = context.WithCancel(context.Background())
+		go c.compute(cctx, e, key, canon, sem, compute)
+	case e.cancel != nil:
+		c.joins.Add(1)
+	}
+	if e.cancel != nil {
+		e.waiters++
+	}
+	c.mu.Unlock()
+
+	select {
+	case <-e.done:
+		return e.outcome, e.err, found || e.tierHit
+	case <-ctx.Done():
+		c.mu.Lock()
+		if e.cancel != nil {
+			if e.waiters--; e.waiters == 0 {
+				e.cancel()
 			}
 		}
-		e.outcome, e.err = compute()
-		if c.tier != nil && e.err == nil {
-			c.tier.Put(key, canon, e.outcome)
-		}
-	})
-	var panicked *PanicError
-	if e.err != nil && (errors.Is(e.err, context.Canceled) || errors.Is(e.err, context.DeadlineExceeded) || errors.As(e.err, &panicked)) {
-		// Best-effort eviction: a concurrently re-added fresh entry may
-		// be dropped too, costing only a recompute later.
-		c.lru.Remove(key)
+		c.mu.Unlock()
+		return Outcome{}, ctx.Err(), false
 	}
-	return e.outcome, e.err, hit || e.tierHit
+}
+
+// compute fills e: from the second tier when it has the key, otherwise
+// by running fn while holding a slot of sem, and then writing the fresh
+// outcome through to the tier.
+func (c *Cache) compute(ctx context.Context, e *cacheEntry, key Key, canon string, sem chan struct{}, fn func() (Outcome, error)) {
+	defer c.settle(e, key)
+	if c.tier != nil {
+		if o, ok := c.tier.Get(key, canon); ok {
+			e.outcome, e.tierHit = o, true
+			return
+		}
+	}
+	e.outcome, e.err = c.compile(ctx, sem, fn)
+	if c.tier != nil && e.err == nil {
+		c.tier.Put(key, canon, e.outcome)
+	}
+}
+
+// compile runs fn holding a slot of sem (nil means no gate), unless ctx
+// ends first; a slot won in a race with the cancellation goes back
+// unused.
+func (c *Cache) compile(ctx context.Context, sem chan struct{}, fn func() (Outcome, error)) (Outcome, error) {
+	if sem != nil {
+		select {
+		case sem <- struct{}{}:
+			defer func() { <-sem }()
+		case <-ctx.Done():
+		}
+	}
+	if err := ctx.Err(); err != nil {
+		return Outcome{}, err
+	}
+	c.compiles.Add(1)
+	return fn()
+}
+
+// settle ends e's computation and releases its waiters. It is the panic
+// boundary — a recover works only on the goroutine that panics — and
+// evicts an entry that failed by panic or cancellation, so neither
+// poisons the key for later lookups.
+func (c *Cache) settle(e *cacheEntry, key Key) {
+	if v := recover(); v != nil {
+		c.panics.Add(1)
+		stack := debug.Stack()
+		log.Printf("pipeline: panic compiling %s: %v\n%s", key, v, stack)
+		e.outcome, e.err = Outcome{}, &PanicError{Value: v, Stack: stack}
+	}
+	var panicked *PanicError
+	failed := errors.Is(e.err, context.Canceled) || errors.As(e.err, &panicked)
+	c.mu.Lock()
+	e.cancel()
+	e.cancel = nil
+	if failed {
+		c.lru.RemoveIf(key, func(cur *cacheEntry) bool { return cur == e })
+	}
+	c.mu.Unlock()
+	close(e.done)
 }
 
 // Run executes jobs across the worker pool and returns one result per
 // job, in job order. Per-job failures are reported in Result.Err and do
 // not stop the batch; FirstError collects them. The returned error is
-// non-nil only when ctx is cancelled, in which case unstarted jobs are
-// abandoned and in-flight jobs are drained before returning.
+// non-nil only when ctx is canceled before the run ends: unstarted jobs
+// are abandoned and jobs waiting on a compile return at once, without
+// draining it (see Cache.getOrCompute for what becomes of the compile).
 func Run(ctx context.Context, jobs []Job, opts Options) ([]Result, Stats, error) {
 	start := time.Now()
 	workers := opts.Workers
@@ -373,9 +484,8 @@ func Run(ctx context.Context, jobs []Job, opts Options) ([]Result, Stats, error)
 	if workers > len(jobs) {
 		workers = len(jobs)
 	}
-	cache := opts.Cache
-	if cache == nil {
-		cache = NewCache()
+	if opts.Cache == nil {
+		opts.Cache = NewCache()
 	}
 
 	results := make([]Result, len(jobs))
@@ -390,23 +500,9 @@ func Run(ctx context.Context, jobs []Job, opts Options) ([]Result, Stats, error)
 		go func() {
 			defer wg.Done()
 			for i := range indices {
-				var r Result
-				if opts.Sem != nil {
-					select {
-					case opts.Sem <- struct{}{}:
-					case <-ctx.Done():
-						// The run is being abandoned; record the
-						// cancellation rather than block on the gate.
-						results[i] = Result{Key: jobs[i].Key, Err: ctx.Err()}
-						continue
-					}
-					r = runJob(jobs[i], cache, opts.Snapshots, &compiles, &hits)
-					<-opts.Sem
-				} else {
-					r = runJob(jobs[i], cache, opts.Snapshots, &compiles, &hits)
-				}
+				r := runJob(ctx, jobs[i], opts, &compiles, &hits)
 				results[i] = r
-				if opts.OnResult != nil {
+				if opts.OnResult != nil && ctx.Err() == nil {
 					emitMu.Lock()
 					opts.OnResult(int(done.Add(1)), len(jobs), r)
 					emitMu.Unlock()
@@ -415,17 +511,11 @@ func Run(ctx context.Context, jobs []Job, opts Options) ([]Result, Stats, error)
 		}()
 	}
 
-	var runErr error
 dispatch:
 	for i := range jobs {
-		if err := ctx.Err(); err != nil {
-			runErr = err
-			break
-		}
 		select {
 		case indices <- i:
 		case <-ctx.Done():
-			runErr = ctx.Err()
 			break dispatch
 		}
 	}
@@ -439,8 +529,8 @@ dispatch:
 		CacheHits: int(hits.Load()),
 		Wall:      time.Since(start),
 	}
-	if runErr != nil {
-		return nil, stats, runErr
+	if err := ctx.Err(); err != nil {
+		return nil, stats, err
 	}
 	return results, stats, nil
 }
@@ -455,7 +545,7 @@ func FirstError(results []Result) error {
 	return nil
 }
 
-func runJob(job Job, cache *Cache, snaps *SnapshotStore, compiles, hits *atomic.Int64) Result {
+func runJob(ctx context.Context, job Job, opts Options, compiles, hits *atomic.Int64) Result {
 	jobStart := time.Now()
 	// Canonicalize the cache identity here, at the one point every
 	// entry point funnels through, so a job naming the default grouping
@@ -464,18 +554,9 @@ func runJob(job Job, cache *Cache, snaps *SnapshotStore, compiles, hits *atomic.
 	if job.Canon == "" {
 		job.Canon = job.Key.String()
 	}
-	outcome, err, hit := cache.getOrCompute(job.Key, job.Canon, func() (o Outcome, err error) {
-		// The recover sits inside the entry's once: sync.Once counts a
-		// panicking function as done, so a recover further out would
-		// leave the entry holding a zero Outcome and a nil error.
-		defer func() {
-			if v := recover(); v != nil {
-				cache.panics.Add(1)
-				o, err = Outcome{}, &PanicError{Value: v, Stack: debug.Stack()}
-			}
-		}()
+	outcome, err, hit := opts.Cache.getOrCompute(ctx, job.Key, job.Canon, opts.Sem, func() (Outcome, error) {
 		compiles.Add(1)
-		return execute(job, snaps)
+		return execute(job, opts.Snapshots)
 	})
 	if hit {
 		hits.Add(1)

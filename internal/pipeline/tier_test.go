@@ -130,14 +130,14 @@ func TestDiskTierRoundTrip(t *testing.T) {
 func TestCanceledErrorNotCached(t *testing.T) {
 	c := NewCache()
 	key := Key{Bench: "x", Scheme: WithStorage, AODs: 1}
-	_, err, _ := c.getOrCompute(key, key.String(), func() (Outcome, error) {
+	_, err, _ := c.getOrCompute(context.Background(), key, key.String(), nil, func() (Outcome, error) {
 		return Outcome{}, context.Canceled
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v", err)
 	}
 	ran := false
-	o, err, hit := c.getOrCompute(key, key.String(), func() (Outcome, error) {
+	o, err, hit := c.getOrCompute(context.Background(), key, key.String(), nil, func() (Outcome, error) {
 		ran = true
 		return Outcome{Stages: 7}, nil
 	})

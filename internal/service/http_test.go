@@ -6,6 +6,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"powermove/internal/circuit"
 )
 
 // TestHTTPEndToEnd exercises the HTTP front end against a live handler:
@@ -168,5 +170,60 @@ func TestHTTPExperimentTable2(t *testing.T) {
 		t.Fatal(err)
 	} else if resp.Body.Close(); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("table 9 = %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestHTTPPanicContained: a compile whose circuit generator panics fails
+// only its own request and job — a 500 with code internal whose message
+// names the panic value but carries no stack — while the daemon goes on
+// serving, and /metrics counts both panics.
+func TestHTTPPanicContained(t *testing.T) {
+	s, ts := jobsServer(t, Config{Workers: 1, QueueDepth: 4})
+	wrapGenerators(s, func(bench string, gen func() (*circuit.Circuit, error)) (*circuit.Circuit, error) {
+		if bench == "QFT-6" {
+			panic("injected generator bug")
+		}
+		return gen()
+	})
+	checkMessage := func(what, msg string) {
+		t.Helper()
+		if !strings.Contains(msg, "injected generator bug") || strings.Contains(msg, "goroutine ") {
+			t.Errorf("%s message = %q, want the panic value and no stack", what, msg)
+		}
+	}
+	var env struct {
+		Error APIError `json:"error"`
+	}
+
+	resp, raw := postJSON(t, ts.URL+"/v1/compile", qft6Body)
+	if err := json.Unmarshal(raw, &env); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusInternalServerError || env.Error.Code != CodeInternal {
+		t.Fatalf("panicking compile = %d %s, want 500 internal", resp.StatusCode, raw)
+	}
+	checkMessage("/v1/compile", env.Error.Message)
+
+	id := submitJob(t, ts.URL, `{"compile":`+qft6Body+`}`)
+	snap := waitJobState(t, ts.URL, id, "failed")
+	var jerr struct {
+		Code    string `json:"code"`
+		Message string `json:"message"`
+	}
+	if err := json.Unmarshal(snap["error"], &jerr); err != nil || jerr.Code != CodeInternal {
+		t.Errorf("panicking job error = %s, want code internal", snap["error"])
+	}
+	checkMessage("job", jerr.Message)
+
+	if resp, raw := postJSON(t, ts.URL+"/v1/compile", `{"workload":{"family":"QFT","qubits":4},"stable":true}`); resp.StatusCode != http.StatusOK {
+		t.Errorf("next request after the panics = %d: %s", resp.StatusCode, raw)
+	}
+	_, mraw := getJSON(t, ts.URL+"/metrics")
+	var m MetricsSnapshot
+	if err := json.Unmarshal(mraw, &m); err != nil {
+		t.Fatal(err)
+	}
+	if m.Panics != 2 {
+		t.Errorf("/metrics panics = %d, want 2", m.Panics)
 	}
 }

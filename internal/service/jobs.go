@@ -76,11 +76,10 @@ func (e *ExperimentSpec) validate() error {
 
 // SubmitJob validates and enqueues one async job, returning its initial
 // snapshot. Invalid requests fail here, before consuming a queue slot;
-// a full queue surfaces jobs.ErrFull (HTTP 429 + Retry-After). Compile
-// and verify jobs carry their pipeline key, so a submission whose key
-// already has an active job attaches to it instead of enqueueing —
-// the job-queue face of the singleflight dedup the sync path gets from
-// flightGroup.
+// a full queue surfaces jobs.ErrFull (HTTP 429 + Retry-After). A
+// duplicate compile or verify job takes its own queue slot and job
+// worker; its compile is shared in the compile cache like any other
+// request's.
 func (s *Server) SubmitJob(req *JobRequest) (jobs.Snapshot, error) {
 	if req.Priority < 0 || req.Priority > jobs.MaxPriority {
 		return jobs.Snapshot{}, &RequestError{fmt.Errorf("priority = %d out of range [0, %d]", req.Priority, jobs.MaxPriority)}
@@ -96,31 +95,20 @@ func (s *Server) SubmitJob(req *JobRequest) (jobs.Snapshot, error) {
 	}
 
 	spec := jobs.Spec{Priority: req.Priority}
+	var payload any
 	switch {
 	case req.Compile != nil:
-		plan, err := req.Compile.validate()
-		if err != nil {
+		if _, err := req.Compile.validate(); err != nil {
 			return jobs.Snapshot{}, &RequestError{err}
 		}
-		spec.Kind = JobCompile
-		spec.Key = "compile:" + plan.canon
-		spec.Payload, err = json.Marshal(req.Compile)
-		if err != nil {
-			return jobs.Snapshot{}, err
-		}
+		spec.Kind, payload = JobCompile, req.Compile
 	case req.Verify != nil:
 		forced := *req.Verify
 		forced.Verify = true
-		plan, err := forced.validate()
-		if err != nil {
+		if _, err := forced.validate(); err != nil {
 			return jobs.Snapshot{}, &RequestError{err}
 		}
-		spec.Kind = JobVerify
-		spec.Key = "compile:" + plan.canon
-		spec.Payload, err = json.Marshal(&forced)
-		if err != nil {
-			return jobs.Snapshot{}, err
-		}
+		spec.Kind, payload = JobVerify, &forced
 	case req.Batch != nil:
 		// Bounds only: per-item validation runs with the batch, and item
 		// failures are part of the result document, as on /v1/batch.
@@ -130,23 +118,16 @@ func (s *Server) SubmitJob(req *JobRequest) (jobs.Snapshot, error) {
 		if len(req.Batch.Requests) > MaxBatch {
 			return jobs.Snapshot{}, &RequestError{fmt.Errorf("batch has %d requests; limit is %d", len(req.Batch.Requests), MaxBatch)}
 		}
-		spec.Kind = JobBatch
-		var err error
-		spec.Payload, err = json.Marshal(req.Batch)
-		if err != nil {
-			return jobs.Snapshot{}, err
-		}
+		spec.Kind, payload = JobBatch, req.Batch
 	case req.Experiment != nil:
 		if err := req.Experiment.validate(); err != nil {
 			return jobs.Snapshot{}, &RequestError{err}
 		}
-		spec.Kind = JobExperiment
-		spec.Key = fmt.Sprintf("exp:%s/%s?stable=%v", req.Experiment.Kind, req.Experiment.ID, req.Experiment.Stable)
-		var err error
-		spec.Payload, err = json.Marshal(req.Experiment)
-		if err != nil {
-			return jobs.Snapshot{}, err
-		}
+		spec.Kind, payload = JobExperiment, req.Experiment
+	}
+	var err error
+	if spec.Payload, err = json.Marshal(payload); err != nil {
+		return jobs.Snapshot{}, err
 	}
 	return s.jobs.Submit(spec)
 }
@@ -155,9 +136,9 @@ func (s *Server) SubmitJob(req *JobRequest) (jobs.Snapshot, error) {
 // through the same execution path as the kind's synchronous endpoint
 // and encodes the result with the service's canonical encoding — so the
 // bytes GET /v1/jobs/{id}/result serves are exactly what the sync
-// endpoint would have written. ctx is the job's: canceled by DELETE and
-// by shutdown, and (unlike the sync path) not detached, so canceling a
-// job stops its work.
+// endpoint would have written. ctx is the job's, canceled by DELETE and
+// by shutdown, and governs the job's work as a request's context
+// governs a sync request's.
 func (s *Server) runJob(ctx context.Context, snap jobs.Snapshot, progress func(done, total int)) (json.RawMessage, error) {
 	switch snap.Kind {
 	case JobCompile, JobVerify:
@@ -165,7 +146,7 @@ func (s *Server) runJob(ctx context.Context, snap jobs.Snapshot, progress func(d
 		if err := json.Unmarshal(snap.Request, &req); err != nil {
 			return nil, err
 		}
-		resp, err := s.compile(ctx, &req, false)
+		resp, err := s.Compile(ctx, &req)
 		if err != nil {
 			return nil, err
 		}

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"powermove/internal/circuit"
 	"powermove/internal/jobs"
 	"powermove/internal/pipeline"
 	"powermove/internal/store"
@@ -111,21 +112,30 @@ func submitJob(t *testing.T, base, body string) string {
 	return snap.ID
 }
 
-// blockingCompile replaces s.compileOne with a gate: every call parks on
-// the returned channel (or its ctx) before delegating to the real
-// implementation; calls counts entries.
-func blockingCompile(s *Server, calls *atomic.Int32) (release chan struct{}) {
+// wrapGenerators wraps every job's circuit generator in wrap, from inside
+// compileOne, so wrap runs where the generator does: in the compile
+// cache's computation, holding a compile slot, once per compile however
+// many requests wait for it.
+func wrapGenerators(s *Server, wrap func(bench string, gen func() (*circuit.Circuit, error)) (*circuit.Circuit, error)) {
 	real := s.compileOne
-	release = make(chan struct{})
 	s.compileOne = func(ctx context.Context, job pipeline.Job) (pipeline.Result, error) {
-		calls.Add(1)
-		select {
-		case <-release:
-		case <-ctx.Done():
-			return pipeline.Result{}, ctx.Err()
-		}
+		bench, gen := job.Key.Bench, job.Circuit
+		job.Circuit = func() (*circuit.Circuit, error) { return wrap(bench, gen) }
 		return real(ctx, job)
 	}
+}
+
+// blockingCompile makes every compile park in its circuit generator —
+// holding its compile slot — until the returned channel is closed; calls
+// counts the compiles that got there. The generator takes no context,
+// so a request or job that leaves does not free the slot.
+func blockingCompile(s *Server, calls *atomic.Int32) (release chan struct{}) {
+	release = make(chan struct{})
+	wrapGenerators(s, func(_ string, gen func() (*circuit.Circuit, error)) (*circuit.Circuit, error) {
+		calls.Add(1)
+		<-release
+		return gen()
+	})
 	return release
 }
 
@@ -139,8 +149,7 @@ func TestJobsQueueShedsAtDepth(t *testing.T) {
 	var calls atomic.Int32
 	release := blockingCompile(s, &calls)
 
-	// Occupy the worker, then fill the two queue slots with distinct
-	// keys (identical keys would attach, consuming no slot).
+	// Occupy the worker, then fill the two queue slots.
 	ids := []string{submitJob(t, ts.URL, qft4Job)}
 	waitFor(t, func() bool { return calls.Load() == 1 })
 	for _, n := range []int{6, 8} {
@@ -224,8 +233,8 @@ func TestJobsCancelQueued(t *testing.T) {
 }
 
 // TestJobsCancelRunningPropagatesContext: DELETE of a running job
-// cancels the context its compile runs under — the async path does not
-// detach the way the sync path does.
+// cancels the context it waits under, so the job settles canceled at
+// once, even while its compile holds a slot and runs on.
 func TestJobsCancelRunningPropagatesContext(t *testing.T) {
 	s, ts := jobsServer(t, Config{Workers: 1, QueueDepth: 4})
 	var calls atomic.Int32
@@ -262,42 +271,36 @@ func TestJobsCancelRunningPropagatesContext(t *testing.T) {
 	}
 }
 
-// TestJobsAttachSameKey: two submissions of one compile key while the
-// first is running produce one underlying compile and two done jobs —
-// the queue-side face of singleflight.
+// TestJobsAttachSameKey: a job submitted while another job of the same
+// compile key compiles takes its own queue slot and job worker but no
+// compile: it joins the first job's compile in the compile cache. Both
+// end done, the second reports cached, and /metrics counts one compile
+// and one dedup join.
 func TestJobsAttachSameKey(t *testing.T) {
 	s, ts := jobsServer(t, Config{Workers: 2, QueueDepth: 4})
 	var calls atomic.Int32
 	release := blockingCompile(s, &calls)
 
-	leader := submitJob(t, ts.URL, qft4Job)
+	first := submitJob(t, ts.URL, qft4Job)
 	waitFor(t, func() bool { return calls.Load() == 1 })
-	follower := submitJob(t, ts.URL, qft4Job)
-
-	// The follower attached instead of queueing.
-	var snap struct {
-		AttachedTo string `json:"attached_to"`
-	}
-	_, raw := getJSON(t, ts.URL+"/v1/jobs/"+follower)
-	if err := json.Unmarshal(raw, &snap); err != nil || snap.AttachedTo != leader {
-		t.Fatalf("follower attached_to = %q (%v), want %q", snap.AttachedTo, err, leader)
-	}
+	second := submitJob(t, ts.URL, qft4Job)
+	waitFor(t, func() bool { return s.Metrics().Deduped == 1 })
 
 	close(release)
-	waitJobState(t, ts.URL, leader, "done")
-	waitJobState(t, ts.URL, follower, "done")
-
-	if got := s.Metrics(); got.Compiles != 1 || got.Jobs.Attached != 1 {
-		t.Errorf("compiles = %d, attached = %d; want 1 and 1", got.Compiles, got.Jobs.Attached)
+	for id, cached := range map[string]bool{first: false, second: true} {
+		waitJobState(t, ts.URL, id, "done")
+		_, raw := getJSON(t, ts.URL+"/v1/jobs/"+id+"/result")
+		var doc CompileResponse
+		if err := json.Unmarshal(raw, &doc); err != nil {
+			t.Fatal(err)
+		}
+		if doc.Cached != cached || doc.Bench != "QFT-4" {
+			t.Errorf("job %s: bench %q cached %v, want QFT-4 cached %v", id, doc.Bench, doc.Cached, cached)
+		}
 	}
-	// The follower's document reports the cache hit it was served from.
-	_, fraw := getJSON(t, ts.URL+"/v1/jobs/"+follower+"/result")
-	var fdoc CompileResponse
-	if err := json.Unmarshal(fraw, &fdoc); err != nil {
-		t.Fatal(err)
-	}
-	if !fdoc.Cached {
-		t.Error("follower result not marked cached")
+	if m := s.Metrics(); calls.Load() != 1 || m.Compiles != 1 || m.Deduped != 1 || m.Jobs.Attached != 0 {
+		t.Errorf("generator calls = %d, compiles = %d, deduped = %d, attached = %d; want 1, 1, 1 and 0",
+			calls.Load(), m.Compiles, m.Deduped, m.Jobs.Attached)
 	}
 }
 

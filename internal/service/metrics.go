@@ -262,14 +262,17 @@ type MetricsSnapshot struct {
 	// Workers is the compile-concurrency bound.
 	Workers int `json:"workers"`
 	// Cache is the shared compile cache's accounting. Its hit count
-	// includes requests that attached to an in-flight compile of their
-	// key inside the engine.
+	// includes requests that joined an in-flight compile of their key.
 	Cache cache.Stats `json:"cache"`
-	// Compiles counts outcomes actually compiled (cache misses that ran
-	// the pipeline), across compile, batch, and experiment requests.
+	// Compiles counts outcomes actually compiled (cache misses that took
+	// a compile slot and ran the pipeline), across compile, batch,
+	// experiment and job requests — including compiles whose requests
+	// all left before they finished.
 	Compiles int64 `json:"compiles"`
-	// Deduped counts /v1/compile requests that joined a concurrent
-	// identical request through the singleflight group.
+	// Deduped counts requests of every kind — sync compiles, jobs, batch
+	// items, experiment points — that joined a concurrent identical
+	// request's compile in flight in the compile cache instead of
+	// starting their own.
 	Deduped int64 `json:"deduped"`
 	// Panics counts panics recovered at the compile boundary (the
 	// pipeline's per-job compute) and the job boundary (the async
@@ -288,8 +291,8 @@ type MetricsSnapshot struct {
 	// Incremental is the snapshot store's prefix-reuse accounting.
 	Incremental IncrementalMetrics `json:"incremental"`
 	// Jobs is the async queue's accounting: per-state transition
-	// counters, current depth/running/retained gauges, shed and attach
-	// counts, and the admission-to-start latency histogram.
+	// counters, current depth/running/retained gauges, the shed count,
+	// and the admission-to-start latency histogram.
 	Jobs jobs.Metrics `json:"jobs"`
 	// Store is the disk result store's accounting, present only when a
 	// store is configured (-store-dir).
@@ -304,8 +307,8 @@ func (s *Server) Metrics() MetricsSnapshot {
 		UptimeS:  time.Since(s.start).Seconds(),
 		Workers:  s.workers,
 		Cache:    s.cache.Stats(),
-		Compiles: s.compiles.Load(),
-		Deduped:  s.flight.joins.Load(),
+		Compiles: s.cache.Compiles(),
+		Deduped:  s.cache.Joins(),
 		Panics:   s.cache.Panics() + s.jobs.Panics(),
 		Mem: MemCounters{
 			HeapAllocBytes:  ms.HeapAlloc,

@@ -1,20 +1,22 @@
 // Package service is the compile-as-a-service layer over the batch
 // engine: JSON request/response types, request validation, a shared
-// size-bounded LRU compile cache (internal/cache via pipeline.Cache), a
-// singleflight group collapsing concurrent identical requests into one
-// execution, and bounded compile concurrency. cmd/powermoved serves it
+// size-bounded LRU compile cache (internal/cache via pipeline.Cache)
+// whose entries also collapse concurrent identical requests into one
+// compile, and bounded compile concurrency. cmd/powermoved serves it
 // over HTTP; cmd/powermove -json and powermove.CompileJSON run the same
 // path one-shot, which is why the CLI and the daemon produce
 // byte-identical documents for the same request.
 //
 // The dataflow for one compile request is
 //
-//	validate → key → singleflight → semaphore → pipeline.Run → cache
+//	validate → key → pipeline.Run → cache entry → disk tier → compile slot → compile
 //
-// with the cache consulted inside pipeline.Run (a repeated request is a
-// cache hit and never reaches a worker) and the singleflight group
-// ensuring a concurrent burst of identical requests occupies one worker
-// slot, not N.
+// Every request for a key — a sync request, a job, a batch item or an
+// experiment point — waits on the key's one cache entry under its own
+// context. A repeated request is a cache hit and a concurrent identical
+// one joins the compile in flight; neither takes a compile slot. A
+// request that leaves returns at once, and the compile is canceled only
+// when the last request waiting for it leaves.
 package service
 
 import (
@@ -25,7 +27,6 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
-	"sync/atomic"
 	"time"
 
 	"powermove/internal/circuit"
@@ -78,25 +79,24 @@ type Config struct {
 	SnapshotCache int
 }
 
-// Server is the compile service: a shared LRU outcome cache, a
-// singleflight group, and a compile semaphore. Construct with New; use
-// Handler for the HTTP front end or Compile/Batch/Experiments directly.
+// Server is the compile service: a shared LRU outcome cache whose
+// entries are the one in-flight dedup, and the compile slots. Construct
+// with New; use Handler for the HTTP front end or
+// Compile/Batch/Experiments directly.
 type Server struct {
 	instance string
 	workers  int
 	cache    *pipeline.Cache
-	flight   flightGroup[*CompileResponse]
 	sem      chan struct{}
 	start    time.Time
 	jobs     *jobs.Manager
 	store    *store.Store
 	snaps    *pipeline.SnapshotStore
 
-	// compileOne executes one validated job; tests substitute a
-	// controlled implementation to observe dedup behavior.
+	// compileOne executes one validated job; tests wrap it to block or
+	// break a job's circuit generator inside the cache's computation.
 	compileOne func(ctx context.Context, job pipeline.Job) (pipeline.Result, error)
 
-	compiles  atomic.Int64
 	endpoints endpointMetrics
 	passes    passLedger
 	verifies  verifyLedger
@@ -125,7 +125,7 @@ func New(cfg Config) *Server {
 		s.snaps = pipeline.NewSnapshotStore(cfg.SnapshotCache)
 	}
 	// Job workers match the compile-concurrency bound: more would only
-	// stack up on the compile semaphore.
+	// stack up waiting for compile slots.
 	s.jobs = jobs.NewManager(jobs.Config{
 		Depth:    cfg.QueueDepth,
 		Workers:  workers,
@@ -283,8 +283,8 @@ type CompileResponse struct {
 // compilePlan is a validated, normalized request: the batch job plus the
 // request facts the response echoes. canon is the key's canonical string
 // form, serialized once here and reused by every identity consumer —
-// the singleflight group, the async dedup key, the cache's disk tier —
-// instead of each re-serializing the key.
+// the fleet's routing key and the cache's disk tier — instead of each
+// re-serializing the key.
 type compilePlan struct {
 	job    pipeline.Job
 	canon  string
@@ -381,67 +381,38 @@ func seededCircuit(family experiments.Family, n int, seed int64) (*circuit.Circu
 	}
 }
 
-// Compile executes one request: validation, then the singleflight group,
-// then a bounded-concurrency compile through the batch engine and the
-// shared cache. Identical concurrent requests share one execution;
-// identical repeated requests are cache hits.
+// Compile executes one request — /v1/compile and every compile and
+// verify job: validation, then the batch engine against the shared
+// cache. A repeated request is a cache hit, and a concurrent identical
+// one joins the compile in flight; either way it reports cached. ctx
+// governs only this request's wait: if it ends, Compile returns at once,
+// and the compile goes on as long as another request waits for it.
 func (s *Server) Compile(ctx context.Context, req *CompileRequest) (*CompileResponse, error) {
-	return s.compile(ctx, req, true)
-}
-
-// compile is the shared execution path. detach controls whether the
-// compile outlives ctx: the sync HTTP path detaches (joiners from other
-// connections share the execution, so one client's disconnect must
-// neither fail them nor keep the outcome out of the cache — joiners' own
-// ctx still governs their wait, in flightGroup.do), while async jobs
-// don't (DELETE /v1/jobs/{id} must actually stop the work).
-func (s *Server) compile(ctx context.Context, req *CompileRequest, detach bool) (*CompileResponse, error) {
 	spec, err := req.validate()
 	if err != nil {
 		return nil, &RequestError{err}
 	}
-	leaderCtx := ctx
-	if detach {
-		leaderCtx = context.WithoutCancel(ctx)
-	}
-	resp, err, joined := s.flight.do(ctx, spec.canon, func() (*CompileResponse, error) {
-		result, err := s.compileOne(leaderCtx, spec.job)
-		if err != nil {
-			return nil, err
-		}
-		if result.Err != nil {
-			return nil, result.Err
-		}
-		if !result.Cached {
-			s.passes.observe(result.Outcome.Passes)
-			s.verifies.observe(result.Outcome.Verify)
-		}
-		return s.response(spec, result), nil
-	})
+	result, err := s.compileOne(ctx, spec.job)
 	if err != nil {
 		return nil, err
 	}
-	if joined {
-		// The joiner shares the leader's outcome on a copy: its own
-		// request never compiled, which is what Cached (and the zeroed
-		// wall-clock fields) report.
-		shared := *resp
-		shared.Cached = true
-		shared.TcompMS = 0
-		shared.Passes = shared.Passes.Stabilized()
-		return &shared, nil
+	if result.Err != nil {
+		return nil, result.Err
 	}
-	return resp, nil
+	if !result.Cached {
+		s.passes.observe(result.Outcome.Passes)
+		s.verifies.observe(result.Outcome.Verify)
+	}
+	return s.response(spec, result), nil
 }
 
 // pipelineCompile runs one job on the batch engine against the shared
-// cache, gated by the service-wide compile semaphore.
+// cache and compile slots.
 func (s *Server) pipelineCompile(ctx context.Context, job pipeline.Job) (pipeline.Result, error) {
-	results, stats, err := pipeline.Run(ctx, []pipeline.Job{job}, pipeline.Options{Workers: 1, Cache: s.cache, Sem: s.sem, Snapshots: s.snaps})
+	results, _, err := pipeline.Run(ctx, []pipeline.Job{job}, pipeline.Options{Workers: 1, Cache: s.cache, Sem: s.sem, Snapshots: s.snaps})
 	if err != nil {
 		return pipeline.Result{}, err
 	}
-	s.compiles.Add(int64(stats.Compiles))
 	return results[0], nil
 }
 
@@ -525,7 +496,6 @@ func (s *Server) Batch(ctx context.Context, req *BatchRequest) (*BatchResponse, 
 			return nil, err
 		}
 		stats = st
-		s.compiles.Add(int64(st.Compiles))
 		// The raw Cached flags (pre-normalization) identify the items
 		// that actually compiled, whose pass breakdowns feed the
 		// cumulative /metrics ledger.
@@ -655,7 +625,6 @@ func (s *Server) experiment(ctx context.Context, kind, id string, stable bool, p
 	default:
 		return nil, &RequestError{fmt.Errorf("unknown experiment kind %q (want table or figure)", kind)}
 	}
-	s.compiles.Add(int64(rn.Stats().Compiles))
 	if !stable {
 		doc.Elapsed = time.Since(start).Round(time.Millisecond).String()
 	}
@@ -663,8 +632,8 @@ func (s *Server) experiment(ctx context.Context, kind, id string, stable bool, p
 }
 
 // RoutingKey returns the request's canonical cache identity — the same
-// pipeline.Key serialization the compile cache, the singleflight group,
-// the async dedup key, and the disk store address by. It is the routing
+// pipeline.Key serialization the compile cache and the disk store
+// address by. It is the routing
 // key of the fleet tier: a consistent-hash router maps it onto one
 // backend so identical compiles always land on the daemon whose LRU and
 // snapshot caches already hold them.

@@ -5,10 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"powermove/internal/pipeline"
+	"powermove/internal/circuit"
 )
 
 // qftRequest is the tiny evaluation point the tests compile: QFT is
@@ -58,24 +59,16 @@ func TestCompileAndCacheHit(t *testing.T) {
 }
 
 // TestSingleflightDedup drives N identical concurrent requests into a
-// server whose compile function blocks until every request has arrived,
-// and asserts exactly one underlying compile ran: one leader, N-1
-// singleflight joiners sharing its outcome.
+// server whose compiles block in their circuit generator until every
+// request has arrived, and asserts exactly one underlying compile ran:
+// one request started it, and N-1 joined it in the compile cache and
+// share its outcome.
 func TestSingleflightDedup(t *testing.T) {
 	const n = 8
 	s := New(Config{Workers: n}) // workers don't bound dedup; leave room
 	defer s.Close()
-
-	var calls int
-	release := make(chan struct{})
-	s.compileOne = func(ctx context.Context, job pipeline.Job) (pipeline.Result, error) {
-		calls++ // never racy if dedup works: only the leader gets here
-		<-release
-		return pipeline.Result{
-			Key:     job.Key,
-			Outcome: pipeline.Outcome{Fidelity: 0.5, Texe: 1, Stages: 1},
-		}, nil
-	}
+	var calls atomic.Int32
+	release := blockingCompile(s, &calls)
 
 	var wg sync.WaitGroup
 	responses := make([]*CompileResponse, n)
@@ -88,9 +81,9 @@ func TestSingleflightDedup(t *testing.T) {
 		}(i)
 	}
 
-	// Release the leader only after the other n-1 requests have joined
-	// the in-flight call, so every one of them exercises dedup.
-	waitFor(t, func() bool { return s.flight.joins.Load() == n-1 })
+	// Release the compile only after the other n-1 requests have joined
+	// it, so every one of them exercises dedup.
+	waitFor(t, func() bool { return s.Metrics().Deduped == n-1 })
 	close(release)
 	wg.Wait()
 
@@ -99,25 +92,25 @@ func TestSingleflightDedup(t *testing.T) {
 			t.Fatalf("request %d: %v", i, errs[i])
 		}
 	}
-	if calls != 1 {
-		t.Fatalf("%d underlying compiles for %d identical concurrent requests, want 1", calls, n)
+	if calls.Load() != 1 {
+		t.Fatalf("%d underlying compiles for %d identical concurrent requests, want 1", calls.Load(), n)
 	}
-	var leaders, joiners int
+	var starters, joiners int
 	for _, r := range responses {
-		if r.Fidelity != 0.5 {
-			t.Fatalf("response diverged from leader outcome: %+v", r)
+		if r.Fidelity != responses[0].Fidelity || r.Stages != responses[0].Stages {
+			t.Fatalf("responses diverged: %+v vs %+v", r, responses[0])
 		}
 		if r.Cached {
 			joiners++
 		} else {
-			leaders++
+			starters++
 		}
 	}
-	if leaders != 1 || joiners != n-1 {
-		t.Errorf("leaders = %d, joiners = %d; want 1 and %d", leaders, joiners, n-1)
+	if starters != 1 || joiners != n-1 {
+		t.Errorf("starters = %d, joiners = %d; want 1 and %d", starters, joiners, n-1)
 	}
-	if d := s.Metrics().Deduped; d != n-1 {
-		t.Errorf("Deduped = %d, want %d", d, n-1)
+	if m := s.Metrics(); m.Deduped != n-1 || m.Compiles != 1 {
+		t.Errorf("Deduped = %d, Compiles = %d; want %d and 1", m.Deduped, m.Compiles, n-1)
 	}
 }
 
@@ -139,13 +132,13 @@ func TestDistinctRequestsDontDedup(t *testing.T) {
 	s := New(Config{Workers: 4})
 	defer s.Close()
 	var mu sync.Mutex
-	keys := map[string]int{}
-	s.compileOne = func(ctx context.Context, job pipeline.Job) (pipeline.Result, error) {
+	benches := map[string]int{}
+	wrapGenerators(s, func(bench string, gen func() (*circuit.Circuit, error)) (*circuit.Circuit, error) {
 		mu.Lock()
-		keys[job.Key.String()]++
+		benches[bench]++
 		mu.Unlock()
-		return pipeline.Result{Key: job.Key, Outcome: pipeline.Outcome{Fidelity: 0.5}}, nil
-	}
+		return gen()
+	})
 	var wg sync.WaitGroup
 	for _, n := range []int{4, 6, 8} {
 		wg.Add(1)
@@ -157,11 +150,11 @@ func TestDistinctRequestsDontDedup(t *testing.T) {
 		}(n)
 	}
 	wg.Wait()
-	if len(keys) != 3 {
-		t.Errorf("saw %d distinct compiles (%v), want 3", len(keys), keys)
+	if len(benches) != 3 {
+		t.Errorf("saw %d distinct compiles (%v), want 3", len(benches), benches)
 	}
-	if d := s.Metrics().Deduped; d != 0 {
-		t.Errorf("Deduped = %d for distinct requests, want 0", d)
+	if m := s.Metrics(); m.Deduped != 0 || m.Compiles != 3 {
+		t.Errorf("Deduped = %d, Compiles = %d for distinct requests; want 0 and 3", m.Deduped, m.Compiles)
 	}
 }
 

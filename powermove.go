@@ -239,9 +239,9 @@ func BatchFirstError(results []BatchResult) error { return pipeline.FirstError(r
 // compile-as-a-service front end of cmd/powermoved.
 type (
 	// Server is the compile service: request validation, a shared
-	// size-bounded LRU compile cache, singleflight dedup of concurrent
-	// identical requests, and bounded compile concurrency over the
-	// batch engine. Server.Handler is its HTTP front end.
+	// size-bounded LRU compile cache whose entries also dedup
+	// concurrent identical requests, and bounded compile concurrency
+	// over the batch engine. Server.Handler is its HTTP front end.
 	Server = service.Server
 	// ServerConfig sizes a Server: worker bound, cache capacity, async
 	// queue depth and TTL, and the optional disk result store.

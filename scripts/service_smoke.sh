@@ -142,10 +142,12 @@ echo "service_smoke: async job result is byte-identical to the sync document"
 
 # --- Queue backpressure --------------------------------------------
 # A dedicated daemon with one worker and a one-slot queue: a slow batch
-# job (16 distinct Enola compiles of QFT-60..75, a few hundred ms each
-# on one worker) occupies the worker, a second job fills the queue, and
-# the third submission must be shed with 429 + Retry-After + the stable
-# queue_full error code.
+# job (16 distinct Enola compiles of QFT-60..75; the whole batch took
+# 0.44-0.57 s on one worker of a 2-vCPU VM, about 30 ms a compile)
+# occupies the worker, a second job fills the queue, and the third
+# submission must be shed with 429 + Retry-After + the stable queue_full
+# error code. The leg relies on the batch outlasting one 0.1 s state
+# poll plus two local submissions, a margin of about 0.3 s.
 "$TMP/powermoved" -addr "$ADDR2" -workers 1 -queue-depth 1 &
 DAEMON2=$!
 wait_up "$ADDR2"
