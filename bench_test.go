@@ -19,8 +19,7 @@ import (
 	"fmt"
 	"testing"
 
-	"powermove/internal/core"
-	"powermove/internal/enola"
+	"powermove/internal/compiler"
 	"powermove/internal/experiments"
 	"powermove/internal/graphutil"
 	"powermove/internal/move"
@@ -189,7 +188,7 @@ func benchAblation(b *testing.B, baseline, variant Options, metric string) {
 func BenchmarkAblationGrouping(b *testing.B) {
 	benchAblation(b,
 		Options{UseStorage: true},
-		Options{UseStorage: true, Grouping: core.GroupingDistance},
+		Options{UseStorage: true, Grouping: compiler.GroupingDistance},
 		"texe-merged-vs-distance")
 }
 
@@ -257,7 +256,7 @@ func BenchmarkCompileEnola(b *testing.B) {
 	hw := DefaultArch(100, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := enola.Compile(circ, hw, enola.Options{Seed: 1}); err != nil {
+		if _, err := CompileEnola(circ, hw, EnolaOptions{Seed: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}

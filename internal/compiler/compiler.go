@@ -9,21 +9,25 @@
 // cmd/experiments -json, the daemon's /v1/compile response and /metrics)
 // can attribute compile cost to individual passes.
 //
-// The two pipelines of the paper's evaluation are built here:
+// The two pipelines of the paper's evaluation are built here, and this
+// package is the only configuration surface of a compile: the powermove
+// facade's Options and EnolaOptions are ZonedConfig and EnolaConfig.
 //
-//   - Zoned (internal/core's former monolithic loop): validate → fuse?
-//     → place → per block: stage-partition → stage-order? → per stage:
-//     route → group → collsched-order? → batch → emit.
-//   - Enola (internal/enola's former duplicate skeleton): validate →
-//     place → per block: mis-stage → per stage: route-home → group →
-//     batch → emit (out-batches, Rydberg pulse, revert batches).
+//   - Zoned (PowerMove, zoned.go): validate → fuse? → place → per
+//     block: stage-partition → stage-order? → per stage: route → group
+//     → collsched-order? → batch → emit.
+//   - Enola (the baseline, enola.go): validate → place → per block:
+//     mis-stage → per stage: route-home → group → batch → emit
+//     (out-batches, Rydberg pulse, revert batches).
 //
 // Ablations are pass substitution at pipeline-construction time — an
 // optional pass is simply not appended, and the grouping pass is chosen
 // by name from a validated registry — instead of booleans threaded
 // through a loop. Construction validates the configuration (unknown
 // grouping names, out-of-range alpha, negative restart counts) so
-// misconfiguration fails before any work happens.
+// misconfiguration fails before any work happens. It also fixes the two
+// run-level properties a configuration implies: whether each run seeds
+// an RNG, and whether the pipeline is resumable (snapshot.go).
 package compiler
 
 import (
@@ -40,8 +44,7 @@ import (
 )
 
 // Stats summarizes the compiler's work on one circuit. It is the one
-// stats type shared by every pipeline (the former core.Stats and
-// enola.Stats were field-for-field duplicates that could drift apart).
+// stats type shared by every pipeline.
 type Stats struct {
 	// Blocks, Stages, Moves, CollMoves, and Batches count the pipeline
 	// products at each level. For the Enola pipeline, CollMoves counts
@@ -400,8 +403,14 @@ func seededRecorder(st recorderState) *recorder {
 // holds no per-run state and is safe for concurrent use.
 type Pipeline struct {
 	name   string
-	init   []func(*Context) error
 	passes []Pass
+	// seeded gives every run a fresh Context.RNG seeded with seed; an
+	// unseeded run leaves the RNG nil.
+	seeded bool
+	seed   int64
+	// resumable is set by the constructors whose pipelines support
+	// checkpoint resume (see Resumable).
+	resumable bool
 }
 
 // New validates and assembles a pipeline: the name and every pass name

@@ -1,8 +1,25 @@
 // The Enola pipeline: the revert-to-home baseline compiler the paper
-// compares against (Sec. 3), as a pass composition over the same
-// pass-manager driver as the zoned pipeline. See internal/enola for the
-// baseline's characterization; the pass logic lives here so both
-// schemes share one driver, one Stats type, and one observability path.
+// compares against (Sec. 3), reimplemented from its published
+// description as a pass composition over the same pass-manager driver
+// as the zoned pipeline, so both schemes share one driver, one Stats
+// type, and one observability path.
+//
+// Enola's defining characteristics, and the source of its limitations:
+//
+//   - Gate scheduling by iterated maximal-independent-set extraction on
+//     the gate conflict graph, with randomized restarts seeking large
+//     stages. This achieves near-optimal stage counts. An independent
+//     set of the conflict graph is a matching of the qubit interaction
+//     graph, so an extraction's restarts run only while its best set is
+//     smaller than a maximum matching. In almost every extraction of
+//     the paper's benchmarks the greedy set already reaches it.
+//   - A fixed home layout in the computation zone. Every stage moves one
+//     qubit of each CZ pair from its home site to its partner's home
+//     site, and — to avoid the clustering of Fig. 3(b) — *reverts* every
+//     mover to its home site before the next stage, doubling movement
+//     and transfer volume.
+//   - No storage zone: every idle qubit sits in the computation zone
+//     during every Rydberg pulse and accrues excitation error.
 package compiler
 
 import (
@@ -67,11 +84,7 @@ func Enola(cfg EnolaConfig) (*Pipeline, error) {
 	if err != nil {
 		return nil, err
 	}
-	seed := cfg.Seed
-	p.init = append(p.init, func(ctx *Context) error {
-		ctx.RNG = rand.New(rand.NewSource(seed))
-		return nil
-	})
+	p.seeded, p.seed = true, cfg.Seed
 	return p, nil
 }
 
@@ -82,7 +95,7 @@ func Enola(cfg EnolaConfig) (*Pipeline, error) {
 // the pass costs about one greedy set and one maximum matching per
 // stage.
 func misStagePass(restarts int) Pass {
-	return NewPassEffects("mis-stage", ReadsBlock|ReadsConfig|ReadsRNG, func(ctx *Context) error {
+	return NewPass("mis-stage", func(ctx *Context) error {
 		r := restarts
 		if r == 0 {
 			r = 2 * len(ctx.Block.Gates)
@@ -99,7 +112,7 @@ func misStagePass(restarts int) Pass {
 // routeHomePass produces the baseline's doubled movement for one stage:
 // the forward leg to the partners' home sites and the revert leg back.
 func routeHomePass() Pass {
-	return NewPassEffects("route-home", ReadsBlock|ReadsLayout, func(ctx *Context) error {
+	return NewPass("route-home", func(ctx *Context) error {
 		ctx.Moves = stageMoves(ctx.Layout, *ctx.Stage)
 		ctx.MovesBack = reverseMoves(ctx.Moves)
 		ctx.Stats.Moves += len(ctx.Moves) + len(ctx.MovesBack)
@@ -110,7 +123,7 @@ func routeHomePass() Pass {
 // enolaGroupPass packs both legs arrival-order first-fit, the
 // baseline's grouping.
 func enolaGroupPass() Pass {
-	return NewPassEffects("group", ReadsBlock, func(ctx *Context) error {
+	return NewPass("group", func(ctx *Context) error {
 		ctx.Groups = move.GroupInOrder(ctx.Moves)
 		ctx.GroupsBack = move.GroupInOrder(ctx.MovesBack)
 		return nil
@@ -118,10 +131,9 @@ func enolaGroupPass() Pass {
 }
 
 // enolaBatchPass batches both legs. The baseline's historical
-// accounting counts emitted batches as its CollMoves, preserved here so
-// the unified Stats reproduces the legacy enola.Stats exactly.
+// accounting counts emitted batches as its CollMoves, preserved here.
 func enolaBatchPass() Pass {
-	return NewPassEffects("batch", ReadsBlock|ReadsArch, func(ctx *Context) error {
+	return NewPass("batch", func(ctx *Context) error {
 		ctx.Batches = collsched.Batch(ctx.Groups, ctx.Arch.AODs)
 		ctx.BatchesBack = collsched.Batch(ctx.GroupsBack, ctx.Arch.AODs)
 		n := len(ctx.Batches) + len(ctx.BatchesBack)
@@ -134,7 +146,7 @@ func enolaBatchPass() Pass {
 // enolaEmitPass interleaves the legs around the Rydberg pulse:
 // out-batches, pulse, revert batches.
 func enolaEmitPass() Pass {
-	return NewPassEffects("emit", ReadsBlock|WritesProgram, func(ctx *Context) error {
+	return NewPass("emit", func(ctx *Context) error {
 		for _, batch := range ctx.Batches {
 			ctx.Program.Instr = append(ctx.Program.Instr, batch)
 		}

@@ -11,10 +11,10 @@ import (
 func EnolaRestartsForTest(p *Pipeline, circ *circuit.Circuit, a *arch.Arch) (res *Result, ran, searched int, err error) {
 	var ctx *Context
 	probe := *p
-	probe.init = append(p.init[:len(p.init):len(p.init)], func(c *Context) error {
+	probe.passes = append(p.passes[:len(p.passes):len(p.passes)], NewPass("probe", func(c *Context) error {
 		ctx = c
 		return nil
-	})
+	}))
 	if res, err = probe.Run(circ, a); err != nil {
 		return nil, 0, 0, err
 	}

@@ -1,24 +1,23 @@
-// Incremental compilation support: per-pass effect declarations, block
-// checkpoints, and resumable pipeline runs.
+// Incremental compilation support: block checkpoints and resumable
+// pipeline runs.
 //
-// A pass may declare the Context state it reads and writes (Effects).
-// From those declarations the driver decides whether a pipeline is
-// Resumable: a resumable pipeline's pre-loop passes depend only on the
-// whole circuit and the architecture, and its per-block lowering
-// depends only on the current block plus the state a Checkpoint
-// restores (working layout, program prefix, stage counter). For such a
-// pipeline, a compile of a circuit sharing a block prefix with an
-// earlier compile can replay the earlier run's Checkpoint — skipping
-// validation, placement, and every already-lowered block — and run only
-// the divergent tail. The replayed run is byte-identical to a cold
-// compile of the same circuit: layouts, programs, and stats counters
-// are deterministic functions of the block prefix, and the recorder
+// A resumable pipeline's pre-loop passes depend only on the whole
+// circuit and the architecture, and its per-block lowering depends only
+// on the current block plus the state a Checkpoint restores (working
+// layout, program prefix, stage counter). For such a pipeline, a
+// compile of a circuit sharing a block prefix with an earlier compile
+// can replay the earlier run's Checkpoint — skipping validation,
+// placement, and every already-lowered block — and run only the
+// divergent tail. The replayed run is byte-identical to a cold compile
+// of the same circuit: layouts, programs, and stats counters are
+// deterministic functions of the block prefix, and the recorder
 // snapshot folds the in-flight lowering frame so per-pass call counts
 // and counter deltas match the cold breakdown exactly.
 package compiler
 
 import (
 	"fmt"
+	"math/rand"
 	"time"
 
 	"powermove/internal/arch"
@@ -27,115 +26,16 @@ import (
 	"powermove/internal/layout"
 )
 
-// Effects is a bitmask declaring the Context state a pass reads and
-// writes. The driver uses the declarations to decide resumability; they
-// are documentation the compiler can act on, not an enforcement
-// mechanism.
-type Effects uint32
-
-// The effect bits.
-const (
-	// ReadsBlock: the pass depends on the current block and the
-	// per-block dataflow fields (Stages, Moves, Groups, Batches).
-	ReadsBlock Effects = 1 << iota
-	// ReadsCircuit: the pass depends on the whole circuit.
-	ReadsCircuit
-	// ReadsArch: the pass depends on the architecture.
-	ReadsArch
-	// ReadsConfig: the pass depends on construction-time configuration
-	// (alpha, grouping choice, restart counts).
-	ReadsConfig
-	// ReadsLayout: the pass depends on the working layout.
-	ReadsLayout
-	// ReadsRNG: the pass consumes the Context RNG when one is seeded.
-	ReadsRNG
-	// WritesCircuit: the pass replaces the circuit (block fusion). A
-	// pipeline with such a pass is never resumable — the caller's block
-	// hashes no longer describe the circuit being lowered.
-	WritesCircuit
-	// WritesLayout: the pass mutates Initial or the working layout.
-	WritesLayout
-	// WritesProgram: the pass appends to the program under construction.
-	WritesProgram
-)
-
-// EffectsDeclarer is implemented by passes that declare their effects.
-// Passes built with plain NewPass declare nothing and are treated
-// conservatively (their pipeline is not resumable).
-type EffectsDeclarer interface {
-	Effects() Effects
-}
-
-// effectsPass is a passFunc with an effect declaration.
-type effectsPass struct {
-	passFunc
-	eff Effects
-}
-
-func (p effectsPass) Effects() Effects { return p.eff }
-
-// NewPassEffects wraps fn as a named Pass declaring eff.
-func NewPassEffects(name string, eff Effects, fn func(*Context) error) Pass {
-	return effectsPass{passFunc{name: name, fn: fn}, eff}
-}
-
-// effectsOf returns a pass's declaration, reporting whether it made one.
-func effectsOf(p Pass) (Effects, bool) {
-	d, ok := p.(EffectsDeclarer)
-	if !ok {
-		return 0, false
-	}
-	return d.Effects(), true
-}
-
 // Resumable reports whether the pipeline supports checkpoint capture and
-// resume. It requires:
-//
-//   - no init funcs (RNG seeding makes pass behavior depend on how many
-//     random draws preceded the current block — state a Checkpoint does
-//     not carry);
-//   - exactly one lowering loop, in the final pass slot;
-//   - every pre-loop pass declares effects and neither rewrites the
-//     circuit nor consumes randomness;
-//   - every loop sub-pass declares effects and depends only on the
-//     current block, never the whole circuit. (ReadsRNG is tolerated
-//     here: with no init funcs the RNG is nil and the declaration is
-//     vacuous.)
-func (p *Pipeline) Resumable() bool {
-	if len(p.init) > 0 {
-		return false
-	}
-	var loop *blockLoop
-	for i, pass := range p.passes {
-		if bl, ok := pass.(*blockLoop); ok {
-			if loop != nil || i != len(p.passes)-1 {
-				return false
-			}
-			loop = bl
-			continue
-		}
-		eff, ok := effectsOf(pass)
-		if !ok || eff&(WritesCircuit|ReadsRNG) != 0 {
-			return false
-		}
-	}
-	if loop == nil {
-		return false
-	}
-	for _, pass := range loop.blockPasses {
-		eff, ok := effectsOf(pass)
-		if !ok || eff&(ReadsCircuit|WritesCircuit) != 0 {
-			return false
-		}
-	}
-	for _, pass := range loop.stagePasses {
-		eff, ok := effectsOf(pass)
-		if !ok || eff&(ReadsCircuit|WritesCircuit) != 0 {
-			return false
-		}
-	}
-	return true
-}
+// resume. The constructor decides: Zoned sets it unless the pipeline
+// rewrites the circuit (block fusion, after which the caller's block
+// hashes no longer describe the circuit being lowered) or seeds an RNG
+// (the random mover, whose draws before a block are state a Checkpoint
+// does not carry). Enola seeds an RNG, and New cannot know what its
+// passes read, so neither is resumable. A new pass that reads the whole
+// circuit inside the lowering loop, rewrites the circuit or draws from
+// the RNG must clear resumability in its constructor.
+func (p *Pipeline) Resumable() bool { return p.resumable }
 
 // Checkpoint is the complete resumable state of a compilation after a
 // whole number of blocks: enough to continue lowering from the next
@@ -201,10 +101,8 @@ func (p *Pipeline) runCold(circ *circuit.Circuit, a *arch.Arch, opts RunOptions)
 	if opts.Capture != nil {
 		ctx.capture = func(c *Context) { opts.Capture(c.checkpoint(time.Now())) }
 	}
-	for _, f := range p.init {
-		if err := f(ctx); err != nil {
-			return nil, fmt.Errorf("%s: %w", p.name, err)
-		}
+	if p.seeded {
+		ctx.RNG = rand.New(rand.NewSource(p.seed))
 	}
 	for _, pass := range p.passes {
 		if err := ctx.rec.run(ctx, pass); err != nil {
@@ -263,13 +161,8 @@ func (p *Pipeline) resume(circ *circuit.Circuit, a *arch.Arch, opts RunOptions) 
 	if opts.Capture != nil {
 		ctx.capture = func(c *Context) { opts.Capture(c.checkpoint(time.Now())) }
 	}
-	var loop Pass
-	for _, pass := range p.passes {
-		if _, ok := pass.(*blockLoop); ok {
-			loop = pass
-		}
-	}
-	if err := ctx.rec.run(ctx, loop); err != nil {
+	// A resumable pipeline's lowering loop is its last pass.
+	if err := ctx.rec.run(ctx, p.passes[len(p.passes)-1]); err != nil {
 		return nil, fmt.Errorf("%s: %w", p.name, err)
 	}
 	ctx.Stats.CompileTime = cp.Elapsed + time.Since(start)
@@ -291,8 +184,8 @@ func (c *Context) checkpoint(now time.Time) Checkpoint {
 	st := c.Stats
 	st.CompileTime = 0
 	st.Passes = nil
-	instr := make([]isa.Instruction, len(c.Program.Instr))
-	copy(instr, c.Program.Instr)
+	// A nil prefix stays nil, as in a cold run that emits nothing more.
+	instr := append([]isa.Instruction(nil), c.Program.Instr...)
 	return Checkpoint{
 		Blocks:  c.BlockIndex + 1,
 		StageID: c.StageID,

@@ -24,7 +24,8 @@ func incrTestCircuit(name string, n, blocks int) *circuit.Circuit {
 // TestResumableTable pins which pipeline compositions support
 // checkpoint resume: the deterministic zoned pipelines do; anything
 // seeding an RNG (enola's mis-stage, the random mover) or rewriting the
-// circuit (block fusion) does not.
+// circuit (block fusion) does not, and neither does a pipeline New
+// assembles from arbitrary passes.
 func TestResumableTable(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -37,6 +38,9 @@ func TestResumableTable(t *testing.T) {
 		{"zoned-random-mover", func() (*Pipeline, error) { return Zoned(ZonedConfig{UseStorage: true, RandomMover: true, Seed: 7}) }, false},
 		{"zoned-fuse", func() (*Pipeline, error) { return Zoned(ZonedConfig{UseStorage: true, FuseBlocks: true}) }, false},
 		{"enola", func() (*Pipeline, error) { return Enola(EnolaConfig{}) }, false},
+		{"new", func() (*Pipeline, error) {
+			return New("custom", validatePass(false), placePass(false), &blockLoop{blockPasses: []Pass{stagePartitionPass()}})
+		}, false},
 	}
 	for _, tc := range cases {
 		p, err := tc.build()

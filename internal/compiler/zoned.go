@@ -2,11 +2,21 @@
 // a pass composition over the pass-manager driver — the Stage Scheduler
 // (internal/stage), the Continuous Router (internal/router), and the
 // Coll-Move Scheduler (internal/collsched), lowered to internal/isa.
+//
+// Two modes mirror the paper's evaluation columns:
+//
+//   - with-storage (ZonedConfig.UseStorage = true): the full pipeline.
+//     The initial layout sits entirely in the storage zone, stages are
+//     ordered to minimize inter-zone traffic, non-interacting qubits are
+//     parked in storage every stage, and Coll-Moves are ordered
+//     move-ins-first.
+//   - non-storage (ZonedConfig.UseStorage = false): only the continuous
+//     router is applied, within the computation zone, matching the
+//     paper's "non-storage" ablation.
 package compiler
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 
 	"powermove/internal/arch"
@@ -20,10 +30,11 @@ import (
 )
 
 // The grouping pass implementations selectable by name. The names are
-// the one registry every layer validates against: ZonedConfig.Grouping,
-// core.Options.Grouping, and the service's "grouping" request field all
-// resolve here, so an unknown name fails pipeline construction with a
-// descriptive error instead of silently selecting a default.
+// the one registry every layer validates against: ZonedConfig.Grouping
+// (the facade's Options.Grouping) and the service's "grouping" request
+// field both resolve here, so an unknown name fails pipeline
+// construction with a descriptive error instead of silently selecting a
+// default.
 const (
 	// GroupingMerged is the default: displacement buckets greedily
 	// merged in ascending distance order (move.Group).
@@ -87,20 +98,29 @@ type ZonedConfig struct {
 	// stage.DefaultAlpha. Must lie in (0, 1) when set.
 	Alpha float64
 	// RandomMover enables the paper's random mobile/static choice for
-	// compute-zone pairs (Sec. 5.2 case 4); Seed drives it.
+	// compute-zone pairs (Sec. 5.2 case 4). The default deterministic
+	// lower-index convention groups movements more densely; RandomMover
+	// exists for the ablation benches.
 	RandomMover bool
-	Seed        int64
+	// Seed drives the random mover choice when RandomMover is set. The
+	// same seed reproduces an identical program.
+	Seed int64
 	// DisableStageOrder drops the stage-order pass even in with-storage
 	// mode (ablation).
 	DisableStageOrder bool
 	// DisableIntraStageOrder drops the collsched-order pass even in
 	// with-storage mode (ablation).
 	DisableIntraStageOrder bool
-	// Grouping names the Coll-Move grouping pass; "" selects
-	// GroupingMerged. Unknown names fail Zoned with a descriptive
-	// error.
+	// Grouping names the Coll-Move grouping pass: GroupingMerged (""
+	// selects it), GroupingDistance or GroupingInOrder. Unknown names
+	// fail Zoned with a descriptive error.
 	Grouping string
-	// FuseBlocks inserts the block-fusion pre-pass (internal/fuse).
+	// FuseBlocks inserts the block-fusion pre-pass (internal/fuse):
+	// consecutive blocks with disjoint gate supports merge and share
+	// Rydberg stages. Sound when each block's 1Q layer acts only on
+	// that block's gate qubits — the convention of every
+	// internal/workload generator; leave it off for circuits of unknown
+	// provenance.
 	FuseBlocks bool
 }
 
@@ -148,19 +168,14 @@ func Zoned(cfg ZonedConfig) (*Pipeline, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.RandomMover {
-		seed := cfg.Seed
-		p.init = append(p.init, func(ctx *Context) error {
-			ctx.RNG = rand.New(rand.NewSource(seed))
-			return nil
-		})
-	}
+	p.seeded, p.seed = cfg.RandomMover, cfg.Seed
+	p.resumable = !cfg.FuseBlocks && !cfg.RandomMover
 	return p, nil
 }
 
 // validatePass checks the circuit against the architecture's capacity.
 func validatePass(useStorage bool) Pass {
-	return NewPassEffects("validate", ReadsCircuit|ReadsArch, func(ctx *Context) error {
+	return NewPass("validate", func(ctx *Context) error {
 		if err := ctx.Circuit.Validate(); err != nil {
 			return err
 		}
@@ -177,7 +192,7 @@ func validatePass(useStorage bool) Pass {
 // fusePass merges consecutive blocks with disjoint gate supports
 // (internal/fuse) so they share Rydberg stages.
 func fusePass() Pass {
-	return NewPassEffects("fuse", ReadsCircuit|WritesCircuit, func(ctx *Context) error {
+	return NewPass("fuse", func(ctx *Context) error {
 		ctx.Circuit = fuse.Circuit(ctx.Circuit, fuse.Options{})
 		return nil
 	})
@@ -187,7 +202,7 @@ func fusePass() Pass {
 // row-major computation zone otherwise), the working layout, and the
 // empty program.
 func placePass(useStorage bool) Pass {
-	return NewPassEffects("place", ReadsCircuit|ReadsArch|WritesLayout|WritesProgram, func(ctx *Context) error {
+	return NewPass("place", func(ctx *Context) error {
 		zone := arch.Compute
 		if useStorage {
 			zone = arch.Storage
@@ -203,7 +218,7 @@ func placePass(useStorage bool) Pass {
 // stagePartitionPass schedules the block's gates into Rydberg stages by
 // greedy conflict-graph coloring (internal/stage).
 func stagePartitionPass() Pass {
-	return NewPassEffects("stage-partition", ReadsBlock, func(ctx *Context) error {
+	return NewPass("stage-partition", func(ctx *Context) error {
 		ctx.Stages = stage.Partition(ctx.Block.Gates)
 		ctx.Stats.Stages += len(ctx.Stages)
 		return nil
@@ -213,7 +228,7 @@ func stagePartitionPass() Pass {
 // stageOrderPass reorders the block's stages to minimize inter-zone
 // traffic (Sec. 4.2).
 func stageOrderPass(alpha float64) Pass {
-	return NewPassEffects("stage-order", ReadsBlock|ReadsConfig, func(ctx *Context) error {
+	return NewPass("stage-order", func(ctx *Context) error {
 		ctx.Stages = stage.Order(ctx.Stages, alpha)
 		return nil
 	})
@@ -222,7 +237,7 @@ func stageOrderPass(alpha float64) Pass {
 // routePass runs the continuous router for the current stage, mutating
 // the working layout.
 func routePass(useStorage bool) Pass {
-	return NewPassEffects("route", ReadsBlock|ReadsLayout|ReadsArch|ReadsConfig|ReadsRNG|WritesLayout, func(ctx *Context) error {
+	return NewPass("route", func(ctx *Context) error {
 		moves, err := router.Route(ctx.Layout, *ctx.Stage, useStorage, ctx.RNG)
 		if err != nil {
 			return fmt.Errorf("block %d stage %d: %w", ctx.BlockIndex, ctx.StageID, err)
@@ -237,7 +252,7 @@ func routePass(useStorage bool) Pass {
 // configured heuristic. All three grouping implementations share the
 // pass name, so breakdowns aggregate per slot across configurations.
 func groupPass(group func([]move.Move) []move.CollMove) Pass {
-	return NewPassEffects("group", ReadsBlock|ReadsConfig, func(ctx *Context) error {
+	return NewPass("group", func(ctx *Context) error {
 		ctx.Groups = group(ctx.Moves)
 		ctx.Stats.CollMoves += len(ctx.Groups)
 		return nil
@@ -246,7 +261,7 @@ func groupPass(group func([]move.Move) []move.CollMove) Pass {
 
 // collschedOrderPass orders Coll-Moves move-ins-first (Sec. 6).
 func collschedOrderPass() Pass {
-	return NewPassEffects("collsched-order", ReadsBlock, func(ctx *Context) error {
+	return NewPass("collsched-order", func(ctx *Context) error {
 		ctx.Groups = collsched.OrderByStorageFlow(ctx.Groups)
 		return nil
 	})
@@ -255,7 +270,7 @@ func collschedOrderPass() Pass {
 // batchPass packs ordered Coll-Moves onto the architecture's AOD
 // arrays.
 func batchPass() Pass {
-	return NewPassEffects("batch", ReadsBlock|ReadsArch, func(ctx *Context) error {
+	return NewPass("batch", func(ctx *Context) error {
 		ctx.Batches = collsched.Batch(ctx.Groups, ctx.Arch.AODs)
 		ctx.Stats.Batches += len(ctx.Batches)
 		return nil
@@ -265,7 +280,7 @@ func batchPass() Pass {
 // emitPass appends the stage's move batches and Rydberg pulse to the
 // program.
 func emitPass() Pass {
-	return NewPassEffects("emit", ReadsBlock|WritesProgram, func(ctx *Context) error {
+	return NewPass("emit", func(ctx *Context) error {
 		for _, batch := range ctx.Batches {
 			ctx.Program.Instr = append(ctx.Program.Instr, batch)
 		}

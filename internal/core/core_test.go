@@ -4,8 +4,10 @@ import (
 	"strings"
 	"testing"
 
+	"powermove"
 	"powermove/internal/arch"
 	"powermove/internal/circuit"
+	"powermove/internal/compiler"
 	"powermove/internal/isa"
 	"powermove/internal/sim"
 	"powermove/internal/workload"
@@ -30,7 +32,7 @@ func TestCompileAndExecuteAllWorkloads(t *testing.T) {
 	for _, c := range allWorkloads() {
 		for _, storage := range []bool{false, true} {
 			a := arch.New(arch.Config{Qubits: c.Qubits})
-			res, err := Compile(c, a, Options{UseStorage: storage})
+			res, err := powermove.Compile(c, a, powermove.Options{UseStorage: storage})
 			if err != nil {
 				t.Fatalf("%s storage=%v: compile: %v", c.Name, storage, err)
 			}
@@ -62,7 +64,7 @@ func TestCompileAndExecuteAllWorkloads(t *testing.T) {
 func TestStorageEliminatesExcitationError(t *testing.T) {
 	c := workload.BV(20, 1)
 	a := arch.New(arch.Config{Qubits: 20})
-	res, err := Compile(c, a, Options{UseStorage: true})
+	res, err := powermove.Compile(c, a, powermove.Options{UseStorage: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +76,7 @@ func TestStorageEliminatesExcitationError(t *testing.T) {
 		t.Errorf("excitation component = %v, want exactly 1", exec.Components.Excitation)
 	}
 
-	flat, err := Compile(c, a, Options{UseStorage: false})
+	flat, err := powermove.Compile(c, a, powermove.Options{UseStorage: false})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,16 +97,16 @@ func TestStorageEliminatesExcitationError(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	c := workload.QAOARegular(30, 3, 8)
 	a := arch.New(arch.Config{Qubits: 30})
-	for _, opts := range []Options{
+	for _, opts := range []powermove.Options{
 		{UseStorage: true},
 		{UseStorage: false},
 		{UseStorage: true, RandomMover: true, Seed: 7},
 	} {
-		r1, err := Compile(c, a, opts)
+		r1, err := powermove.Compile(c, a, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r2, err := Compile(c, a, opts)
+		r2, err := powermove.Compile(c, a, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +132,7 @@ func TestDeterminism(t *testing.T) {
 func TestInitialLayoutPerMode(t *testing.T) {
 	c := workload.VQE(9)
 	a := arch.New(arch.Config{Qubits: 9})
-	zoned, err := Compile(c, a, Options{UseStorage: true})
+	zoned, err := powermove.Compile(c, a, powermove.Options{UseStorage: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +141,7 @@ func TestInitialLayoutPerMode(t *testing.T) {
 			t.Fatalf("zoned initial layout has qubit %d in %v", q, zoned.Initial.Zone(q))
 		}
 	}
-	flat, err := Compile(c, a, Options{UseStorage: false})
+	flat, err := powermove.Compile(c, a, powermove.Options{UseStorage: false})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,23 +155,23 @@ func TestInitialLayoutPerMode(t *testing.T) {
 func TestCompileRejections(t *testing.T) {
 	c := workload.VQE(10)
 	a := arch.New(arch.Config{Qubits: 10})
-	if _, err := Compile(c, a, Options{Alpha: 1.5}); err == nil {
+	if _, err := powermove.Compile(c, a, powermove.Options{Alpha: 1.5}); err == nil {
 		t.Error("alpha out of range accepted")
 	}
-	// Out-of-range grouping values used to silently select the default;
-	// the pipeline registry rejects them with a descriptive error.
-	if _, err := Compile(c, a, Options{Grouping: Grouping(7)}); err == nil {
-		t.Error("out-of-range grouping accepted")
-	} else if !strings.Contains(err.Error(), "grouping(7)") {
+	// Unknown grouping names used to silently select the default; the
+	// pipeline registry rejects them with a descriptive error.
+	if _, err := powermove.Compile(c, a, powermove.Options{Grouping: "nearest"}); err == nil {
+		t.Error("unknown grouping accepted")
+	} else if !strings.Contains(err.Error(), `"nearest"`) {
 		t.Errorf("grouping error %q does not name the bad value", err)
 	}
 	small := arch.New(arch.Config{Qubits: 4})
-	if _, err := Compile(c, small, Options{}); err == nil {
+	if _, err := powermove.Compile(c, small, powermove.Options{}); err == nil {
 		t.Error("circuit larger than compute zone accepted")
 	}
 	bad := circuit.New("bad", 4)
 	bad.AddBlock(-1)
-	if _, err := Compile(bad, small, Options{}); err == nil {
+	if _, err := powermove.Compile(bad, small, powermove.Options{}); err == nil {
 		t.Error("invalid circuit accepted")
 	}
 }
@@ -181,7 +183,7 @@ func TestAODBatching(t *testing.T) {
 	prev := 0.0
 	for aods := 1; aods <= 4; aods++ {
 		a := arch.New(arch.Config{Qubits: 30, AODs: aods})
-		res, err := Compile(c, a, Options{UseStorage: true})
+		res, err := powermove.Compile(c, a, powermove.Options{UseStorage: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,14 +208,14 @@ func TestAODBatching(t *testing.T) {
 func TestAblationOptionsCompile(t *testing.T) {
 	c := workload.QAOARegular(20, 3, 21)
 	a := arch.New(arch.Config{Qubits: 20})
-	for name, opts := range map[string]Options{
+	for name, opts := range map[string]powermove.Options{
 		"no stage order":       {UseStorage: true, DisableStageOrder: true},
 		"no intra-stage order": {UseStorage: true, DisableIntraStageOrder: true},
-		"distance grouping":    {UseStorage: true, Grouping: GroupingDistance},
-		"in-order grouping":    {UseStorage: true, Grouping: GroupingInOrder},
+		"distance grouping":    {UseStorage: true, Grouping: compiler.GroupingDistance},
+		"in-order grouping":    {UseStorage: true, Grouping: compiler.GroupingInOrder},
 		"random mover":         {UseStorage: true, RandomMover: true, Seed: 3},
 	} {
-		res, err := Compile(c, a, opts)
+		res, err := powermove.Compile(c, a, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -228,7 +230,7 @@ func TestAblationOptionsCompile(t *testing.T) {
 func TestStatsConsistency(t *testing.T) {
 	c := workload.QAOARegular(20, 3, 34)
 	a := arch.New(arch.Config{Qubits: 20})
-	res, err := Compile(c, a, Options{UseStorage: true})
+	res, err := powermove.Compile(c, a, powermove.Options{UseStorage: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +259,7 @@ func TestOneQOnlyCircuit(t *testing.T) {
 	c.AddBlock(4)
 	c.AddBlock(2)
 	a := arch.New(arch.Config{Qubits: 4})
-	res, err := Compile(c, a, Options{UseStorage: true})
+	res, err := powermove.Compile(c, a, powermove.Options{UseStorage: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +282,7 @@ func TestFullComputeZoneCapacity(t *testing.T) {
 	c := workload.QAOARegular(100, 3, 55)
 	a := arch.New(arch.Config{Qubits: 100})
 	for _, storage := range []bool{false, true} {
-		res, err := Compile(c, a, Options{UseStorage: storage})
+		res, err := powermove.Compile(c, a, powermove.Options{UseStorage: storage})
 		if err != nil {
 			t.Fatalf("storage=%v: %v", storage, err)
 		}
@@ -298,11 +300,11 @@ func TestFullComputeZoneCapacity(t *testing.T) {
 func TestFuseBlocksOption(t *testing.T) {
 	c := workload.QSim(20, 9)
 	a := arch.New(arch.Config{Qubits: 20})
-	plain, err := Compile(c, a, Options{UseStorage: false})
+	plain, err := powermove.Compile(c, a, powermove.Options{UseStorage: false})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fused, err := Compile(c, a, Options{UseStorage: false, FuseBlocks: true})
+	fused, err := powermove.Compile(c, a, powermove.Options{UseStorage: false, FuseBlocks: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"powermove"
 	"powermove/internal/arch"
 	"powermove/internal/circuit"
 	"powermove/internal/isa"
@@ -58,7 +59,7 @@ func TestCompiledProgramsAreSemanticallyEquivalent(t *testing.T) {
 	for _, c := range circs {
 		for _, storage := range []bool{false, true} {
 			a := arch.New(arch.Config{Qubits: c.Qubits})
-			res, err := Compile(c, a, Options{UseStorage: storage})
+			res, err := powermove.Compile(c, a, powermove.Options{UseStorage: storage})
 			if err != nil {
 				t.Fatalf("%s storage=%v: %v", c.Name, storage, err)
 			}
@@ -82,7 +83,7 @@ func TestCompiledProgramsAreSemanticallyEquivalent(t *testing.T) {
 func TestBlockOrderIsPreserved(t *testing.T) {
 	c := workload.QSim(12, 8) // many small dependent blocks
 	a := arch.New(arch.Config{Qubits: 12})
-	res, err := Compile(c, a, Options{UseStorage: true})
+	res, err := powermove.Compile(c, a, powermove.Options{UseStorage: true})
 	if err != nil {
 		t.Fatal(err)
 	}

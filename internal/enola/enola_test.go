@@ -3,6 +3,7 @@ package enola
 import (
 	"testing"
 
+	"powermove"
 	"powermove/internal/arch"
 	"powermove/internal/circuit"
 	"powermove/internal/sim"
@@ -19,7 +20,7 @@ func TestCompileExecutesCleanly(t *testing.T) {
 	}
 	for _, c := range circs {
 		a := arch.New(arch.Config{Qubits: c.Qubits})
-		res, err := Compile(c, a, Options{Seed: 1})
+		res, err := powermove.CompileEnola(c, a, powermove.EnolaOptions{Seed: 1})
 		if err != nil {
 			t.Fatalf("%s: compile: %v", c.Name, err)
 		}
@@ -41,7 +42,7 @@ func TestCompileExecutesCleanly(t *testing.T) {
 func TestRevertsToHome(t *testing.T) {
 	c := workload.QAOARegular(16, 3, 5)
 	a := arch.New(arch.Config{Qubits: 16})
-	res, err := Compile(c, a, Options{Seed: 1})
+	res, err := powermove.CompileEnola(c, a, powermove.EnolaOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestRevertsToHome(t *testing.T) {
 func TestNeverUsesStorage(t *testing.T) {
 	c := workload.BV(12, 7)
 	a := arch.New(arch.Config{Qubits: 12})
-	res, err := Compile(c, a, Options{Seed: 1})
+	res, err := powermove.CompileEnola(c, a, powermove.EnolaOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestNeverUsesStorage(t *testing.T) {
 func TestDoubleMovementVolume(t *testing.T) {
 	c := workload.QAOARegular(20, 3, 9)
 	a := arch.New(arch.Config{Qubits: 20})
-	res, err := Compile(c, a, Options{Seed: 1})
+	res, err := powermove.CompileEnola(c, a, powermove.EnolaOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,11 +98,11 @@ func TestDoubleMovementVolume(t *testing.T) {
 func TestDeterministicBySeed(t *testing.T) {
 	c := workload.QAOARegular(20, 3, 11)
 	a := arch.New(arch.Config{Qubits: 20})
-	r1, err := Compile(c, a, Options{Seed: 42})
+	r1, err := powermove.CompileEnola(c, a, powermove.EnolaOptions{Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Compile(c, a, Options{Seed: 42})
+	r2, err := powermove.CompileEnola(c, a, powermove.EnolaOptions{Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,16 +118,16 @@ func TestDeterministicBySeed(t *testing.T) {
 func TestCompileRejections(t *testing.T) {
 	a := arch.New(arch.Config{Qubits: 4})
 	big := workload.VQE(10) // 10 qubits > 4 compute sites? 4 -> 2x2 grid
-	if _, err := Compile(big, a, Options{}); err == nil {
+	if _, err := powermove.CompileEnola(big, a, powermove.EnolaOptions{}); err == nil {
 		t.Error("oversized circuit accepted")
 	}
 	bad := circuit.New("bad", 4)
 	bad.AddBlock(0, circuit.NewCZ(0, 9))
-	if _, err := Compile(bad, arch.New(arch.Config{Qubits: 4}), Options{}); err == nil {
+	if _, err := powermove.CompileEnola(bad, arch.New(arch.Config{Qubits: 4}), powermove.EnolaOptions{}); err == nil {
 		t.Error("invalid circuit accepted")
 	}
 	good := workload.VQE(4)
-	if _, err := Compile(good, arch.New(arch.Config{Qubits: 4}), Options{Restarts: -1}); err == nil {
+	if _, err := powermove.CompileEnola(good, arch.New(arch.Config{Qubits: 4}), powermove.EnolaOptions{Restarts: -1}); err == nil {
 		t.Error("negative restarts accepted")
 	}
 }
@@ -137,7 +138,7 @@ func TestCompileRejections(t *testing.T) {
 func TestPassBreakdown(t *testing.T) {
 	c := workload.QAOARegular(16, 3, 5)
 	a := arch.New(arch.Config{Qubits: 16})
-	res, err := Compile(c, a, Options{Seed: 1})
+	res, err := powermove.CompileEnola(c, a, powermove.EnolaOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

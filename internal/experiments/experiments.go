@@ -33,6 +33,35 @@ const (
 	QSim         Family = "QSIM-rand"
 )
 
+// Families returns the benchmark families, in Table-2 order.
+func Families() []Family {
+	return []Family{QAOARegular3, QAOARegular4, QAOARandom, QFT, BV, VQE, QSim}
+}
+
+// Circuit generates the family's n-qubit instance from seed; the
+// deterministic families (QFT, VQE) ignore it. It is the one dispatch
+// from a family name to its generator.
+func (f Family) Circuit(n int, seed int64) (*circuit.Circuit, error) {
+	switch f {
+	case QAOARegular3:
+		return workload.QAOARegular(n, 3, seed), nil
+	case QAOARegular4:
+		return workload.QAOARegular(n, 4, seed), nil
+	case QAOARandom:
+		return workload.QAOARandom(n, seed), nil
+	case QFT:
+		return workload.QFT(n), nil
+	case BV:
+		return workload.BV(n, seed), nil
+	case VQE:
+		return workload.VQE(n), nil
+	case QSim:
+		return workload.QSim(n, seed), nil
+	default:
+		return nil, fmt.Errorf("experiments: unknown family %q", f)
+	}
+}
+
 // Spec identifies one benchmark instance: a family and a qubit count. The
 // seed of every randomized generator is derived deterministically from the
 // spec, so repeated runs are identical — the seeding contract the batch
@@ -56,27 +85,9 @@ func (s Spec) seed() int64 {
 	return h ^ int64(s.Qubits)*2654435761
 }
 
-// Circuit instantiates the benchmark circuit.
-func (s Spec) Circuit() (*circuit.Circuit, error) {
-	switch s.Family {
-	case QAOARegular3:
-		return workload.QAOARegular(s.Qubits, 3, s.seed()), nil
-	case QAOARegular4:
-		return workload.QAOARegular(s.Qubits, 4, s.seed()), nil
-	case QAOARandom:
-		return workload.QAOARandom(s.Qubits, s.seed()), nil
-	case QFT:
-		return workload.QFT(s.Qubits), nil
-	case BV:
-		return workload.BV(s.Qubits, s.seed()), nil
-	case VQE:
-		return workload.VQE(s.Qubits), nil
-	case QSim:
-		return workload.QSim(s.Qubits, s.seed()), nil
-	default:
-		return nil, fmt.Errorf("experiments: unknown family %q", s.Family)
-	}
-}
+// Circuit instantiates the benchmark circuit under the spec's derived
+// seed.
+func (s Spec) Circuit() (*circuit.Circuit, error) { return s.Family.Circuit(s.Qubits, s.seed()) }
 
 // Arch returns the default Table-2 architecture for this instance with the
 // given AOD count.

@@ -23,7 +23,7 @@ const VerifySweepQubits = 12
 // VerifySweepSpecs returns one instance per benchmark family, in
 // Table-2 family order.
 func VerifySweepSpecs() []Spec {
-	families := []Family{QAOARegular3, QAOARegular4, QAOARandom, QFT, BV, VQE, QSim}
+	families := Families()
 	specs := make([]Spec, len(families))
 	for i, f := range families {
 		specs[i] = Spec{Family: f, Qubits: VerifySweepQubits}

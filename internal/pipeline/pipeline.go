@@ -276,6 +276,9 @@ type Cache struct {
 	// compiles those that took a compile slot and ran, joins the lookups
 	// that waited on another lookup's computation.
 	panics, compiles, joins atomic.Int64
+	// passes and verifies account for every successful fresh compile.
+	passes   passLedger
+	verifies verifyLedger
 }
 
 // Panics returns the number of computations through this cache that
@@ -290,6 +293,14 @@ func (c *Cache) Compiles() int64 { return c.compiles.Load() }
 // Joins returns the number of lookups that found their key's computation
 // in flight and waited on it instead of starting another.
 func (c *Cache) Joins() int64 { return c.joins.Load() }
+
+// Passes returns the per-pass ledger of the successful fresh compiles
+// through this cache, keyed by pass name.
+func (c *Cache) Passes() map[string]PassMetrics { return c.passes.snapshot() }
+
+// Verifies returns the verification ledger of the successful fresh
+// compiles through this cache.
+func (c *Cache) Verifies() VerifyMetrics { return c.verifies.snapshot() }
 
 // PanicError is a panic recovered from one job's compile. The job fails
 // with it instead of taking the process down with every job in flight.
@@ -412,8 +423,8 @@ func (c *Cache) getOrCompute(ctx context.Context, key Key, canon string, sem cha
 }
 
 // compute fills e: from the second tier when it has the key, otherwise
-// by running fn while holding a slot of sem, and then writing the fresh
-// outcome through to the tier.
+// by running fn while holding a slot of sem, and then entering the fresh
+// outcome in the ledgers and writing it through to the tier.
 func (c *Cache) compute(ctx context.Context, e *cacheEntry, key Key, canon string, sem chan struct{}, fn func() (Outcome, error)) {
 	defer c.settle(e, key)
 	if c.tier != nil {
@@ -423,7 +434,12 @@ func (c *Cache) compute(ctx context.Context, e *cacheEntry, key Key, canon strin
 		}
 	}
 	e.outcome, e.err = c.compile(ctx, sem, fn)
-	if c.tier != nil && e.err == nil {
+	if e.err != nil {
+		return
+	}
+	c.passes.observe(e.outcome.Passes)
+	c.verifies.observe(e.outcome.Verify)
+	if c.tier != nil {
 		c.tier.Put(key, canon, e.outcome)
 	}
 }

@@ -31,9 +31,6 @@ const (
 	// CodeConflict is a request valid in itself but wrong for the job's
 	// current state, e.g. canceling a finished job (409).
 	CodeConflict = "conflict"
-	// CodeNotReady marks a result fetched before the job finished (no
-	// HTTP error — the result endpoint answers 202 with the snapshot).
-	CodeNotReady = "not_ready"
 	// CodeInternal is a compile-side failure (500).
 	CodeInternal = "internal"
 )

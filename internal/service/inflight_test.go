@@ -87,8 +87,8 @@ func TestSyncJoinerOutlivesJobCancel(t *testing.T) {
 
 // TestCompileCountedAfterRequestLeft: a request whose compile holds the
 // slot returns at once when its client leaves, the compile runs to the
-// end and fills the cache, and /metrics counts it; a repeat request is
-// then a cache hit.
+// end and fills the cache, and /metrics counts it, in the pass ledger
+// too; a repeat request is then a cache hit.
 func TestCompileCountedAfterRequestLeft(t *testing.T) {
 	st, err := store.Open(t.TempDir(), 0)
 	if err != nil {
@@ -117,6 +117,9 @@ func TestCompileCountedAfterRequestLeft(t *testing.T) {
 	}
 	if m.Compiles != 1 {
 		t.Errorf("/metrics compiles = %d, want 1", m.Compiles)
+	}
+	if got := m.Passes["lower"].Calls; got != 1 {
+		t.Errorf("/metrics passes.lower.calls = %d, want 1", got)
 	}
 	r := <-postAsync(context.Background(), ts.URL+"/v1/compile", qft6Body)
 	if r.err != nil || r.status != http.StatusOK || !r.doc.Cached {

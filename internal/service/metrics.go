@@ -3,14 +3,12 @@ package service
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"powermove/internal/cache"
-	"powermove/internal/compiler"
 	"powermove/internal/jobs"
+	"powermove/internal/pipeline"
 	"powermove/internal/store"
-	"powermove/internal/verify"
 )
 
 // endpointMetrics accumulates per-endpoint request counts and latency
@@ -70,117 +68,6 @@ func (em *endpointMetrics) snapshot() map[string]EndpointStats {
 		out[k] = s
 	}
 	return out
-}
-
-// PassMetrics is the cumulative accounting of one compiler pass across
-// every fresh compile the server has executed (compile, batch, and
-// experiment requests alike; cache hits don't recount the compile that
-// produced them). Calls and counters are monotone non-decreasing, so
-// two scrapes bracket the pass-level work a request caused.
-type PassMetrics struct {
-	// Calls counts pass invocations (stage-level passes run once per
-	// stage of every compiled circuit).
-	Calls int64 `json:"calls"`
-	// TotalMS is cumulative pass self-time.
-	TotalMS float64 `json:"total_ms"`
-	// Counters accumulates the pass's Stats counter deltas, e.g.
-	// {"moves": N} for the routing pass.
-	Counters map[string]int64 `json:"counters,omitempty"`
-}
-
-// passLedger accumulates per-pass breakdowns under one small mutex,
-// keyed by pass name.
-type passLedger struct {
-	mu sync.Mutex
-	m  map[string]*PassMetrics
-}
-
-// observe folds one compile's breakdown into the ledger.
-func (pl *passLedger) observe(ps compiler.PassStats) {
-	if len(ps) == 0 {
-		return
-	}
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	if pl.m == nil {
-		pl.m = make(map[string]*PassMetrics)
-	}
-	for _, p := range ps {
-		st := pl.m[p.Pass]
-		if st == nil {
-			st = &PassMetrics{}
-			pl.m[p.Pass] = st
-		}
-		st.Calls += int64(p.Calls)
-		st.TotalMS += float64(p.Duration) / float64(time.Millisecond)
-		for k, v := range p.Counters {
-			if st.Counters == nil {
-				st.Counters = make(map[string]int64, len(p.Counters))
-			}
-			st.Counters[k] += v
-		}
-	}
-}
-
-// snapshot deep-copies the ledger.
-func (pl *passLedger) snapshot() map[string]PassMetrics {
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	out := make(map[string]PassMetrics, len(pl.m))
-	for k, st := range pl.m {
-		s := *st
-		if len(st.Counters) > 0 {
-			s.Counters = make(map[string]int64, len(st.Counters))
-			for ck, cv := range st.Counters {
-				s.Counters[ck] = cv
-			}
-		}
-		out[k] = s
-	}
-	return out
-}
-
-// VerifyMetrics is the cumulative accounting of the differential
-// verification subsystem (internal/verify) across every fresh verified
-// compile: how many programs were checked, how many verified clean, and
-// the total violations found. Cache hits reuse a verification already
-// counted. A non-zero Violations is an alarm — it means a compiled
-// program broke a physical constraint or diverged from its circuit.
-type VerifyMetrics struct {
-	// Checks counts verified compiles.
-	Checks int64 `json:"checks"`
-	// Clean counts verified compiles with no violations.
-	Clean int64 `json:"clean"`
-	// Violations is the cumulative violation count across all checks.
-	Violations int64 `json:"violations"`
-}
-
-// verifyLedger accumulates VerifyMetrics atomically.
-type verifyLedger struct {
-	checks, clean, violations atomic.Int64
-}
-
-// observe folds one verified compile's summary into the ledger; nil
-// (unverified compile) is a no-op.
-func (vl *verifyLedger) observe(s *verify.Summary) {
-	if s == nil {
-		return
-	}
-	vl.checks.Add(1)
-	if s.Violations == 0 {
-		vl.clean.Add(1)
-	} else {
-		vl.violations.Add(int64(s.Violations))
-	}
-}
-
-// snapshot reads the ledger.
-func (vl *verifyLedger) snapshot() VerifyMetrics {
-	return VerifyMetrics{
-		Checks:     vl.checks.Load(),
-		Clean:      vl.clean.Load(),
-		Violations: vl.violations.Load(),
-	}
 }
 
 // MemCounters is the allocation side of /metrics, read from
@@ -282,12 +169,13 @@ type MetricsSnapshot struct {
 	Mem MemCounters `json:"mem"`
 	// Endpoints is the per-endpoint request/latency ledger.
 	Endpoints map[string]EndpointStats `json:"endpoints"`
-	// Passes is the cumulative per-compiler-pass time/counter ledger
-	// across every fresh compile the server has executed.
-	Passes map[string]PassMetrics `json:"passes"`
-	// Verify is the differential-verification ledger across every
-	// fresh verified compile.
-	Verify VerifyMetrics `json:"verify"`
+	// Passes is the compile cache's cumulative per-compiler-pass
+	// time/counter ledger across every fresh compile, including those
+	// whose requests all left before they finished.
+	Passes map[string]pipeline.PassMetrics `json:"passes"`
+	// Verify is the compile cache's differential-verification ledger
+	// across every fresh verified compile.
+	Verify pipeline.VerifyMetrics `json:"verify"`
 	// Incremental is the snapshot store's prefix-reuse accounting.
 	Incremental IncrementalMetrics `json:"incremental"`
 	// Jobs is the async queue's accounting: per-state transition
@@ -319,8 +207,8 @@ func (s *Server) Metrics() MetricsSnapshot {
 			PauseTotalMS:    float64(ms.PauseTotalNs) / 1e6,
 		},
 		Endpoints: s.endpoints.snapshot(),
-		Passes:    s.passes.snapshot(),
-		Verify:    s.verifies.snapshot(),
+		Passes:    s.cache.Passes(),
+		Verify:    s.cache.Verifies(),
 		Jobs:      s.jobs.Metrics(),
 	}
 	if s.snaps != nil {

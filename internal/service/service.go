@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
+	"slices"
 	"time"
 
 	"powermove/internal/circuit"
@@ -38,7 +39,6 @@ import (
 	"powermove/internal/qasm"
 	"powermove/internal/store"
 	"powermove/internal/verify"
-	"powermove/internal/workload"
 )
 
 // MaxAODs bounds the accepted AOD-array count, one beyond the paper's
@@ -98,8 +98,6 @@ type Server struct {
 	compileOne func(ctx context.Context, job pipeline.Job) (pipeline.Result, error)
 
 	endpoints endpointMetrics
-	passes    passLedger
-	verifies  verifyLedger
 }
 
 // New returns a ready Server. Release it with Close — the async job
@@ -323,16 +321,16 @@ func (req *CompileRequest) validate() (*compilePlan, error) {
 		if w.Qubits < 2 {
 			return nil, fmt.Errorf("workload qubits = %d; want at least 2", w.Qubits)
 		}
-		if !knownFamily(experiments.Family(w.Family)) {
+		spec := experiments.Spec{Family: experiments.Family(w.Family), Qubits: w.Qubits}
+		if !slices.Contains(experiments.Families(), spec.Family) {
 			return nil, fmt.Errorf("unknown workload family %q", w.Family)
 		}
-		spec := experiments.Spec{Family: experiments.Family(w.Family), Qubits: w.Qubits}
 		bench := spec.String()
 		gen := spec.Circuit
 		if w.Seed != nil {
 			seed := *w.Seed
 			bench = fmt.Sprintf("%s@%d", bench, seed)
-			gen = func() (*circuit.Circuit, error) { return seededCircuit(spec.Family, w.Qubits, seed) }
+			gen = func() (*circuit.Circuit, error) { return spec.Family.Circuit(w.Qubits, seed) }
 		}
 		job = pipeline.NewJob(bench, scheme, aods, gen)
 		qubits = w.Qubits
@@ -343,42 +341,6 @@ func (req *CompileRequest) validate() (*compilePlan, error) {
 	job.Key.Verify = req.Verify
 	job.Canon = job.Key.String()
 	return &compilePlan{job: job, canon: job.Canon, qubits: qubits, stable: req.Stable}, nil
-}
-
-// knownFamily reports whether family has a generator, without paying
-// for a circuit: validation must stay cheap because it also runs on
-// requests that will be served from the cache.
-func knownFamily(family experiments.Family) bool {
-	switch family {
-	case experiments.QAOARegular3, experiments.QAOARegular4, experiments.QAOARandom,
-		experiments.QFT, experiments.BV, experiments.VQE, experiments.QSim:
-		return true
-	default:
-		return false
-	}
-}
-
-// seededCircuit generates family with an explicit seed (deterministic
-// families ignore it).
-func seededCircuit(family experiments.Family, n int, seed int64) (*circuit.Circuit, error) {
-	switch family {
-	case experiments.QAOARegular3:
-		return workload.QAOARegular(n, 3, seed), nil
-	case experiments.QAOARegular4:
-		return workload.QAOARegular(n, 4, seed), nil
-	case experiments.QAOARandom:
-		return workload.QAOARandom(n, seed), nil
-	case experiments.QFT:
-		return workload.QFT(n), nil
-	case experiments.BV:
-		return workload.BV(n, seed), nil
-	case experiments.VQE:
-		return workload.VQE(n), nil
-	case experiments.QSim:
-		return workload.QSim(n, seed), nil
-	default:
-		return nil, fmt.Errorf("experiments: unknown family %q", family)
-	}
 }
 
 // Compile executes one request — /v1/compile and every compile and
@@ -398,10 +360,6 @@ func (s *Server) Compile(ctx context.Context, req *CompileRequest) (*CompileResp
 	}
 	if result.Err != nil {
 		return nil, result.Err
-	}
-	if !result.Cached {
-		s.passes.observe(result.Outcome.Passes)
-		s.verifies.observe(result.Outcome.Verify)
 	}
 	return s.response(spec, result), nil
 }
@@ -496,15 +454,6 @@ func (s *Server) Batch(ctx context.Context, req *BatchRequest) (*BatchResponse, 
 			return nil, err
 		}
 		stats = st
-		// The raw Cached flags (pre-normalization) identify the items
-		// that actually compiled, whose pass breakdowns feed the
-		// cumulative /metrics ledger.
-		for _, r := range results {
-			if r.Err == nil && !r.Cached {
-				s.passes.observe(r.Outcome.Passes)
-				s.verifies.observe(r.Outcome.Verify)
-			}
-		}
 		// Which duplicate of a key actually compiled is a scheduling
 		// race inside the engine, so the raw Cached flags would make
 		// stable batch documents flip run to run. Normalize them to
@@ -562,19 +511,9 @@ func (s *Server) Experiment(ctx context.Context, kind, id string, stable bool) (
 // experiment is Experiment plus an optional per-point progress callback,
 // which async experiment jobs stream to their event feed.
 func (s *Server) experiment(ctx context.Context, kind, id string, stable bool, progress func(done, total int)) (*ExperimentDoc, error) {
-	rn := &experiments.Runner{Jobs: s.workers, Cache: s.cache, Sem: s.sem, Snapshots: s.snaps,
-		// Stream completions into the cumulative per-pass ledger;
-		// cache hits carry a breakdown already accounted for by the
-		// compile that produced them.
-		OnResult: func(done, total int, r pipeline.Result) {
-			if r.Err == nil && !r.Cached {
-				s.passes.observe(r.Outcome.Passes)
-				s.verifies.observe(r.Outcome.Verify)
-			}
-			if progress != nil {
-				progress(done, total)
-			}
-		},
+	rn := &experiments.Runner{Jobs: s.workers, Cache: s.cache, Sem: s.sem, Snapshots: s.snaps}
+	if progress != nil {
+		rn.OnResult = func(done, total int, _ pipeline.Result) { progress(done, total) }
 	}
 	start := time.Now()
 	doc := &ExperimentDoc{Stable: stable, Workers: s.workers}

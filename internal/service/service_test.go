@@ -4,12 +4,17 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"net/http"
+	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"powermove/internal/circuit"
+	"powermove/internal/experiments"
 )
 
 // qftRequest is the tiny evaluation point the tests compile: QFT is
@@ -188,6 +193,66 @@ func TestValidation(t *testing.T) {
 			var reqErr *RequestError
 			if !errors.As(err, &reqErr) {
 				t.Fatalf("error %v is not a RequestError", err)
+			}
+		})
+	}
+}
+
+// TestSeededWorkloadRequests: a workload request that carries a seed
+// compiles the circuit experiments.Family.Circuit generates from that
+// seed, under the bench name "family-n@seed", for every family; an
+// unknown family is a 400 that names it.
+func TestSeededWorkloadRequests(t *testing.T) {
+	s, ts := jobsServer(t, Config{Workers: 1})
+	var mu sync.Mutex
+	compiled := map[string]*circuit.Circuit{}
+	wrapGenerators(s, func(bench string, gen func() (*circuit.Circuit, error)) (*circuit.Circuit, error) {
+		c, err := gen()
+		mu.Lock()
+		compiled[bench] = c
+		mu.Unlock()
+		return c, err
+	})
+	const n, seed = 8, 11
+	type tc struct {
+		family experiments.Family
+		status int
+	}
+	var cases []tc
+	for _, f := range experiments.Families() {
+		cases = append(cases, tc{f, http.StatusOK})
+	}
+	cases = append(cases, tc{"QAOA-regular5", http.StatusBadRequest})
+	for _, c := range cases {
+		t.Run(string(c.family), func(t *testing.T) {
+			body := fmt.Sprintf(`{"workload":{"family":%q,"qubits":%d,"seed":%d},"stable":true}`, c.family, n, seed)
+			resp, raw := postJSON(t, ts.URL+"/v1/compile", body)
+			if resp.StatusCode != c.status {
+				t.Fatalf("status %d, want %d: %s", resp.StatusCode, c.status, raw)
+			}
+			if c.status != http.StatusOK {
+				if !strings.Contains(string(raw), string(c.family)) {
+					t.Errorf("rejection %s does not name the family", raw)
+				}
+				return
+			}
+			var doc CompileResponse
+			if err := json.Unmarshal(raw, &doc); err != nil {
+				t.Fatal(err)
+			}
+			bench := fmt.Sprintf("%s-%d@%d", c.family, n, seed)
+			if doc.Bench != bench {
+				t.Errorf("bench = %q, want %q", doc.Bench, bench)
+			}
+			want, err := c.family.Circuit(n, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mu.Lock()
+			got := compiled[bench]
+			mu.Unlock()
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("compiled %v, want experiments.Family.Circuit(%d, %d) = %v", got, n, seed, want)
 			}
 		})
 	}

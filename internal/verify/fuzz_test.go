@@ -18,9 +18,10 @@ import (
 // and the product must be legal and equivalent.
 //
 // The committed seed corpus (testdata/fuzz/FuzzCompileVerify) pins one
-// input per pipeline x grouping x AOD shape, plus one per register size
-// from 19 to 22 qubits; `go test` replays it on every run, and CI's fuzz
-// job explores beyond it.
+// input per pipeline x grouping x AOD shape, one per register size from
+// 19 to 22 qubits, and every input the fuzzer has failed on (a resumed
+// compile whose empty program prefix came back non-nil); `go test`
+// replays it on every run, and CI's fuzz job explores beyond it.
 //
 // On registers the naive state-vector reference holds
 // (maxReferenceQubits), every execution also demands that the reference

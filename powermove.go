@@ -32,8 +32,6 @@ import (
 	"powermove/internal/arch"
 	"powermove/internal/circuit"
 	"powermove/internal/compiler"
-	"powermove/internal/core"
-	"powermove/internal/enola"
 	"powermove/internal/isa"
 	"powermove/internal/layout"
 	"powermove/internal/pipeline"
@@ -56,8 +54,10 @@ type (
 	CZ = circuit.CZ
 	// Arch describes one zoned hardware instance.
 	Arch = arch.Arch
-	// Options configures a PowerMove compilation.
-	Options = core.Options
+	// Options configures a PowerMove compilation. Grouping names the
+	// Coll-Move grouping: "merged" (the default, also ""), "distance"
+	// or "in-order".
+	Options = compiler.ZonedConfig
 	// Program is a compiled instruction stream.
 	Program = isa.Program
 	// Layout assigns qubits to trap sites.
@@ -67,9 +67,9 @@ type (
 	ExecutionResult = sim.Result
 	// CompileResult carries a compiled program, its required initial
 	// layout, and compiler statistics.
-	CompileResult = core.Result
+	CompileResult = compiler.Result
 	// EnolaOptions configures the Enola baseline compiler.
-	EnolaOptions = enola.Options
+	EnolaOptions = compiler.EnolaConfig
 	// Stats is the shared compiler statistics type of both schemes,
 	// including the per-pass PassStats breakdown.
 	Stats = compiler.Stats
@@ -95,15 +95,28 @@ func DefaultArch(qubits, aods int) *Arch {
 	return arch.New(arch.Config{Qubits: qubits, AODs: aods})
 }
 
-// Compile lowers circ for hw with the PowerMove pipeline.
+// Compile lowers circ for hw with the PowerMove pipeline. The returned
+// program starts from CompileResult.Initial: all qubits in storage
+// (Options.UseStorage) or placed row-major in the computation zone.
+// Unknown grouping names and out-of-range alphas fail before any
+// compilation work.
 func Compile(circ *Circuit, hw *Arch, opts Options) (*CompileResult, error) {
-	return core.Compile(circ, hw, opts)
+	p, err := compiler.Zoned(opts)
+	if err != nil {
+		return nil, err
+	}
+	return p.Run(circ, hw)
 }
 
 // CompileEnola lowers circ with the Enola baseline (revert-to-home
-// movement, no storage zone), for comparison studies.
-func CompileEnola(circ *Circuit, hw *Arch, opts EnolaOptions) (*enola.Result, error) {
-	return enola.Compile(circ, hw, opts)
+// movement, no storage zone), for comparison studies. The program starts
+// from and returns to the row-major home layout after every stage.
+func CompileEnola(circ *Circuit, hw *Arch, opts EnolaOptions) (*CompileResult, error) {
+	p, err := compiler.Enola(opts)
+	if err != nil {
+		return nil, err
+	}
+	return p.Run(circ, hw)
 }
 
 // Execute runs a compiled program on the simulated hardware and returns
@@ -166,7 +179,7 @@ type RunResult struct {
 // CompileAndRun compiles circ and executes it from the compiler's initial
 // layout in one step.
 func CompileAndRun(circ *Circuit, hw *Arch, opts Options) (*RunResult, error) {
-	cr, err := core.Compile(circ, hw, opts)
+	cr, err := Compile(circ, hw, opts)
 	if err != nil {
 		return nil, err
 	}
