@@ -257,6 +257,29 @@ func TestMISFindsPerfectMatchingOnChain(t *testing.T) {
 	}
 }
 
+// TestRestartLedgerSettleMatchesPerm: settling a ledger leaves the RNG
+// exactly where one rng.Perm(n) call per skipped restart would, across
+// runs of different n, a zero-vertex run and a merged run.
+func TestRestartLedgerSettleMatchesPerm(t *testing.T) {
+	runs := []owedPerms{{1, 3}, {7, 2}, {0, 4}, {40, 1}, {7, 5}, {7, 1}}
+	perm := rand.New(rand.NewSource(99))
+	settled := rand.New(rand.NewSource(99))
+	var l restartLedger
+	for _, o := range runs {
+		for range o.count {
+			perm.Perm(o.n)
+		}
+		l.skip(o.n, o.count)
+	}
+	l.settle(settled)
+	if len(l.owed) != 0 {
+		t.Fatalf("settle left %d runs owed", len(l.owed))
+	}
+	if got, want := settled.Int63(), perm.Int63(); got != want {
+		t.Fatalf("next Int63 after settle = %d, after Perm calls = %d", got, want)
+	}
+}
+
 // TestStageMoves: the lower-indexed qubit travels to its partner's home.
 func TestStageMoves(t *testing.T) {
 	a := arch.New(arch.Config{Qubits: 4})

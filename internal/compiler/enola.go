@@ -231,13 +231,13 @@ func (b *matchingBound) of(gates []circuit.CZ, removed []bool) int {
 }
 
 // restartLedger is the Enola pipeline's per-compile restart accounting.
-// A skipped restart still owes the compile's RNG the rng.Perm(n) draw it
-// would have made; the ledger keeps those debts in order and pays them
-// just before the next restart that runs, in this block or a later one,
-// so every restart that runs sees the RNG state it would have seen had
-// every restart run. Debts still open when the compile ends are dropped:
-// only the mis-stage pass reads Enola's RNG, each Run seeds a fresh one,
-// and Enola never checkpoints.
+// A skipped restart still owes the compile's RNG the draws of the
+// rng.Perm(n) call it would have made; the ledger keeps those debts in
+// order and pays them just before the next restart that runs, in this
+// block or a later one, so every restart that runs sees the RNG state it
+// would have seen had every restart run. Debts still open when the
+// compile ends are dropped: only the mis-stage pass reads Enola's RNG,
+// each Run seeds a fresh one, and Enola never checkpoints.
 type restartLedger struct {
 	owed []owedPerms
 	// ran counts the restarts run; searched counts the extractions
@@ -245,7 +245,8 @@ type restartLedger struct {
 	ran, searched int
 }
 
-// owedPerms is a run of count skipped rng.Perm(n) draws.
+// owedPerms is a run of count skipped rng.Perm(n) calls, each owing n
+// draws.
 type owedPerms struct{ n, count int }
 
 // skip records count skipped restarts over an n-vertex conflict graph.
@@ -257,12 +258,16 @@ func (l *restartLedger) skip(n, count int) {
 	l.owed = append(l.owed, owedPerms{n, count})
 }
 
-// settle makes every owed draw, in order, with the call the skipped
-// restart would have made.
+// settle makes every owed draw, in order. rng.Perm(n) draws
+// rng.Intn(i+1) for i = 0..n-1, the sequence math/rand keeps for Go 1
+// compatibility, so making those draws directly leaves the RNG where
+// the skipped calls would have, without building the permutations.
 func (l *restartLedger) settle(rng *rand.Rand) {
 	for _, o := range l.owed {
-		for i := 0; i < o.count; i++ {
-			rng.Perm(o.n)
+		for range o.count {
+			for i := range o.n {
+				rng.Intn(i + 1)
+			}
 		}
 	}
 	l.owed = l.owed[:0]

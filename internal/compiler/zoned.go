@@ -216,7 +216,7 @@ func placePass(useStorage bool) Pass {
 }
 
 // stagePartitionPass schedules the block's gates into Rydberg stages by
-// greedy conflict-graph coloring (internal/stage).
+// edge coloring the block's interaction graph (stage.Partition).
 func stagePartitionPass() Pass {
 	return NewPass("stage-partition", func(ctx *Context) error {
 		ctx.Stages = stage.Partition(ctx.Block.Gates)

@@ -1,230 +1,252 @@
 // Misra-Gries edge coloring. The stage scheduler partitions a CZ block
 // into Rydberg stages by coloring the edges of the qubit interaction
-// graph; Misra & Gries (1992) guarantees at most Delta+1 colors in
-// O(V*E) time, keeping PowerMove's stage counts competitive with the
-// baseline's iterated-MIS scheduling at a fraction of the cost.
+// graph; Misra & Gries (1992) guarantees at most Delta+1 colors,
+// keeping PowerMove's stage counts competitive with the baseline's
+// iterated-MIS scheduling at a fraction of the cost.
 package graphutil
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"slices"
+)
 
-// edgeColorer carries the mutable state of one Misra-Gries run.
+// edgeColorer carries the state of one Misra-Gries run. Edges are named
+// by their index in the input; all state is flat arrays over edge and
+// vertex indexes.
 type edgeColorer struct {
-	g      *Graph
-	colors int     // palette size: maxDegree + 1
-	at     [][]int // at[v][c] = neighbor joined to v by color c, or -1
-	color  map[[2]int]int
+	edges    [][2]int
+	off, adj []int // the edges at v are adj[off[v]:off[v+1]], in input order
+	k        int   // palette size: Delta+1
+	at       []int // at[v*k+c] is the edge colored c at v, or -1
+	col      []int // col[e] is edge e's color, or -1 while uncolored
+	fan      []int // the current fan's edges; fan[0] is the edge being colored
+	cand     []int // the edges that could still extend the current fan
 }
 
-// EdgeColoring colors the edges of g with at most MaxDegree()+1 colors so
-// that edges sharing a vertex receive distinct colors. It returns a map
-// from normalized edge (u < v) to color. The classic bound chi' <= Delta+1
-// (Vizing) is achieved constructively by the Misra-Gries procedure.
-func (g *Graph) EdgeColoring() map[[2]int]int {
-	ec := &edgeColorer{
-		g:      g,
-		colors: g.MaxDegree() + 1,
-		at:     make([][]int, g.N()),
-		color:  make(map[[2]int]int, g.EdgeCount()),
+// EdgeColoring colors the edges of the graph on vertices 0..n-1 with at
+// most Delta+1 colors, Delta being its largest degree, so that edges
+// sharing a vertex get distinct colors. It returns the color of each
+// input edge, in input order. Edges are undirected and may be given in
+// either orientation. It panics on a self-loop, an endpoint outside
+// [0, n) or a repeated edge.
+//
+// This is the Misra-Gries procedure, which meets Vizing's bound
+// constructively. Edges are colored in ascending (min, max) endpoint
+// order, and each fan scans the edges of the lower endpoint in input
+// order, so the input order of the edges is part of what decides the
+// colors. Coloring one edge takes O(Delta^2 + n) time: up to Delta
+// scans of Delta edges to build its fan, and an alternating path of at
+// most n vertices to invert.
+func EdgeColoring(n int, edges [][2]int) []int {
+	ec := newEdgeColorer(n, edges)
+	for _, e := range ec.order() {
+		ec.colorEdge(e)
 	}
-	for v := range ec.at {
-		ec.at[v] = make([]int, ec.colors)
-		for c := range ec.at[v] {
-			ec.at[v][c] = -1
-		}
-	}
-	for _, e := range g.Edges() {
-		ec.colorEdge(e[0], e[1])
-	}
-	return ec.color
+	return ec.col
 }
 
-// ValidEdgeColoring reports whether coloring assigns every edge of g a
-// non-negative color distinct from all adjacent edges' colors.
-func (g *Graph) ValidEdgeColoring(coloring map[[2]int]int) bool {
-	edges := g.Edges()
-	if len(coloring) != len(edges) {
-		return false
-	}
+// newEdgeColorer checks the edges and builds the adjacency and the empty
+// color tables.
+func newEdgeColorer(n int, edges [][2]int) *edgeColorer {
+	ec := &edgeColorer{edges: edges, off: make([]int, n+1), adj: make([]int, 2*len(edges))}
 	for _, e := range edges {
-		c, ok := coloring[e]
-		if !ok || c < 0 {
-			return false
+		u, v := e[0], e[1]
+		if u == v {
+			panic(fmt.Sprintf("graphutil: self-loop on vertex %d", u))
+		}
+		if u < 0 || u >= n || v < 0 || v >= n {
+			panic(fmt.Sprintf("graphutil: edge (%d, %d) out of range for %d vertices", u, v, n))
+		}
+		ec.off[u+1]++
+		ec.off[v+1]++
+	}
+	delta := 0
+	for v := 0; v < n; v++ {
+		delta = max(delta, ec.off[v+1])
+		ec.off[v+1] += ec.off[v]
+	}
+	// Fill the rows in input order, advancing each row's start as its
+	// cursor; afterwards off[v] holds the end of row v, so shift it back.
+	for e, uv := range edges {
+		for _, v := range uv {
+			ec.adj[ec.off[v]] = e
+			ec.off[v]++
 		}
 	}
-	for v := 0; v < g.N(); v++ {
-		seen := make(map[int]bool)
-		for _, u := range g.Adjacent(v) {
-			c := coloring[normEdge(v, u)]
-			if seen[c] {
-				return false
-			}
-			seen[c] = true
+	copy(ec.off[1:], ec.off[:n])
+	ec.off[0] = 0
+	ec.k = delta + 1
+	// A fan and its candidates are edges at one vertex: Delta at most.
+	ec.fan, ec.cand = make([]int, 0, delta), make([]int, 0, delta)
+	ec.at = make([]int, n*ec.k)
+	for i := range ec.at {
+		ec.at[i] = -1
+	}
+	ec.col = make([]int, len(edges))
+	for e := range ec.col {
+		ec.col[e] = -1
+	}
+	return ec
+}
+
+// ends returns edge e's endpoints, lower first.
+func (ec *edgeColorer) ends(e int) (lo, hi int) {
+	u, v := ec.edges[e][0], ec.edges[e][1]
+	return min(u, v), max(u, v)
+}
+
+// other returns the endpoint of edge e that is not v.
+func (ec *edgeColorer) other(e, v int) int { return ec.edges[e][0] ^ ec.edges[e][1] ^ v }
+
+// order returns the edges in ascending (min, max) endpoint order. Equal
+// neighbors in that order are a repeated edge, which it rejects.
+func (ec *edgeColorer) order() []int {
+	ids := make([]int, len(ec.edges))
+	for e := range ids {
+		ids[e] = e
+	}
+	slices.SortFunc(ids, func(a, b int) int {
+		alo, ahi := ec.ends(a)
+		blo, bhi := ec.ends(b)
+		return cmp.Or(cmp.Compare(alo, blo), cmp.Compare(ahi, bhi))
+	})
+	for i := 1; i < len(ids); i++ {
+		plo, phi := ec.ends(ids[i-1])
+		if lo, hi := ec.ends(ids[i]); lo == plo && hi == phi {
+			panic(fmt.Sprintf("graphutil: repeated edge (%d, %d)", lo, hi))
 		}
 	}
-	return true
+	return ids
 }
 
-func normEdge(u, v int) [2]int {
-	if u > v {
-		u, v = v, u
+// set gives edge e color c, or uncolors it when c is -1, keeping both
+// endpoints' rows of the color table in step.
+func (ec *edgeColorer) set(e, c int) {
+	u, v := ec.edges[e][0], ec.edges[e][1]
+	if old := ec.col[e]; old >= 0 {
+		ec.at[u*ec.k+old] = -1
+		ec.at[v*ec.k+old] = -1
 	}
-	return [2]int{u, v}
+	ec.col[e] = c
+	if c >= 0 {
+		ec.at[u*ec.k+c] = e
+		ec.at[v*ec.k+c] = e
+	}
 }
 
-func (ec *edgeColorer) getColor(u, v int) int {
-	if c, ok := ec.color[normEdge(u, v)]; ok {
-		return c
-	}
-	return -1
-}
-
-func (ec *edgeColorer) setColor(u, v, c int) {
-	if old := ec.getColor(u, v); old >= 0 {
-		ec.at[u][old] = -1
-		ec.at[v][old] = -1
-	}
-	ec.color[normEdge(u, v)] = c
-	ec.at[u][c] = v
-	ec.at[v][c] = u
-}
+// free reports whether color c is unused at v.
+func (ec *edgeColorer) free(v, c int) bool { return ec.at[v*ec.k+c] < 0 }
 
 // freeColor returns the smallest color unused at v.
 func (ec *edgeColorer) freeColor(v int) int {
-	for c := 0; c < ec.colors; c++ {
-		if ec.at[v][c] < 0 {
+	for c, e := range ec.at[v*ec.k : (v+1)*ec.k] {
+		if e < 0 {
 			return c
 		}
 	}
-	panic(fmt.Sprintf("graphutil: vertex %d has no free color among %d", v, ec.colors))
+	panic(fmt.Sprintf("graphutil: vertex %d has no free color among %d", v, ec.k))
 }
 
-func (ec *edgeColorer) isFree(v, c int) bool { return ec.at[v][c] < 0 }
-
-// colorEdge colors the uncolored edge (u, v) by the Misra-Gries step:
-// build a maximal fan of u from v, invert the cd-path at u, and rotate a
-// prefix of the fan.
-func (ec *edgeColorer) colorEdge(u, v int) {
-	fan := ec.maximalFan(u, v)
+// colorEdge colors the uncolored edge e0 by the Misra-Gries step: build a
+// maximal fan of its lower endpoint u, invert the cd-path at u, and
+// rotate a prefix of the fan.
+func (ec *edgeColorer) colorEdge(e0 int) {
+	u, _ := ec.ends(e0)
+	fan := ec.maximalFan(u, e0)
 	c := ec.freeColor(u)
-	d := ec.freeColor(fan[len(fan)-1])
+	d := ec.freeColor(ec.other(fan[len(fan)-1], u))
 	ec.invertPath(u, c, d)
 	// After inversion d is free at u. Pick the shortest fan prefix that
 	// is still a valid fan under the updated colors and whose end
-	// vertex has d free; Misra & Gries prove such a prefix exists.
+	// vertex has d free; Misra & Gries prove such a prefix exists. A
+	// prefix is a fan only if every shorter one is, so the scan stops
+	// at the first fan edge whose color is no longer free at the
+	// vertex before it.
 	w := -1
-	for i := range fan {
-		if ec.isFree(fan[i], d) && ec.isFan(u, fan[:i+1]) {
+	for i, e := range fan {
+		if i > 0 {
+			if cw := ec.col[e]; cw < 0 || !ec.free(ec.other(fan[i-1], u), cw) {
+				break
+			}
+		}
+		if ec.free(ec.other(e, u), d) {
 			w = i
 			break
 		}
 	}
 	if w < 0 {
-		panic(fmt.Sprintf("graphutil: no rotatable fan prefix for edge (%d, %d)", u, v))
+		lo, hi := ec.ends(e0)
+		panic(fmt.Sprintf("graphutil: no rotatable fan prefix for edge (%d, %d)", lo, hi))
 	}
-	ec.rotateFan(u, fan[:w+1])
-	ec.setColor(u, fan[w], d)
+	// Rotate: each fan edge takes the color of the next one, which is
+	// free at its far end by the fan property; the last edge of the
+	// prefix takes d.
+	for i := 0; i < w; i++ {
+		cw := ec.col[fan[i+1]]
+		ec.set(fan[i+1], -1)
+		ec.set(fan[i], cw)
+	}
+	ec.set(fan[w], d)
 }
 
-// isFan reports whether the sequence is a valid fan of u under the current
-// coloring: every edge (u, fan[i+1]) is colored with a color free at
-// fan[i]. fan[0]'s edge is the uncolored edge being processed.
-func (ec *edgeColorer) isFan(u int, fan []int) bool {
-	for i := 0; i+1 < len(fan); i++ {
-		cw := ec.getColor(u, fan[i+1])
-		if cw < 0 || !ec.isFree(fan[i], cw) {
-			return false
+// maximalFan builds a maximal fan of u starting with the uncolored edge
+// e0: a sequence of edges at u to distinct vertices x_0, x_1, ... where
+// the edge to x_{i+1} is colored with a color free at x_i. Each step
+// takes the first such edge in u's input order. Only colored edges not
+// yet in the fan can extend it, and no color changes while the fan is
+// built, so each step scans just those candidates.
+func (ec *edgeColorer) maximalFan(u, e0 int) []int {
+	cand := ec.cand[:0]
+	for _, e := range ec.adj[ec.off[u]:ec.off[u+1]] {
+		if ec.col[e] >= 0 {
+			cand = append(cand, e)
 		}
 	}
-	return true
-}
-
-// maximalFan builds a maximal fan of u starting at v: a sequence of
-// distinct neighbors x_0 = v, x_1, ... where the edge (u, x_{i+1}) is
-// colored with a color free at x_i.
-func (ec *edgeColorer) maximalFan(u, v int) []int {
-	fan := []int{v}
-	used := map[int]bool{v: true}
-	for {
-		last := fan[len(fan)-1]
-		extended := false
-		for _, w := range ec.g.Adjacent(u) {
-			if used[w] {
-				continue
-			}
-			cw := ec.getColor(u, w)
-			if cw >= 0 && ec.isFree(last, cw) {
-				fan = append(fan, w)
-				used[w] = true
-				extended = true
-				break
-			}
+	ec.cand = cand
+	fan := append(ec.fan[:0], e0)
+	for last := ec.other(e0, u); ; {
+		j := 0
+		for j < len(cand) && !ec.free(last, ec.col[cand[j]]) {
+			j++
 		}
-		if !extended {
-			return fan
+		if j == len(cand) {
+			break
+		}
+		e := cand[j]
+		fan = append(fan, e)
+		last = ec.other(e, u)
+		if j == 0 { // the common case: every candidate fits, as in a star
+			cand = cand[1:]
+		} else {
+			cand = append(cand[:j], cand[j+1:]...)
 		}
 	}
+	ec.fan = fan
+	return fan
 }
 
 // invertPath swaps colors c and d along the maximal path starting at u
 // whose edges alternate between them (the first edge, if any, is colored
-// d, because c is free at u). The path is collected first and re-colored
-// afterwards: flipping in place would transiently corrupt the per-vertex
-// color table that the walk itself reads.
+// d, because c is free at u). Each vertex on the path swaps its c and d
+// entries of the color table, which flips the path edges at both ends;
+// the walk reads a vertex's entry before swapping it.
 func (ec *edgeColorer) invertPath(u, c, d int) {
 	if c == d {
 		return
 	}
-	type pathEdge struct{ a, b, col int }
-	var path []pathEdge
-	prev, cur, col := u, ec.at[u][d], d
-	for cur >= 0 {
-		if len(path) > ec.g.EdgeCount() {
+	x, along := u, d // along is the color of the path edge leaving x
+	for steps := 0; ; steps++ {
+		if steps > len(ec.col) {
 			panic("graphutil: cd-path exceeds edge count; coloring state corrupted")
 		}
-		path = append(path, pathEdge{a: prev, b: cur, col: col})
-		nextCol := opposite(col, c, d)
-		next := ec.at[cur][nextCol]
-		prev, cur, col = cur, next, nextCol
-	}
-	for _, e := range path {
-		ec.clearColor(e.a, e.b)
-	}
-	for _, e := range path {
-		ec.setColor(e.a, e.b, opposite(e.col, c, d))
-	}
-}
-
-// clearColor removes the color of edge (u, v) from both the edge map and
-// the per-vertex tables.
-func (ec *edgeColorer) clearColor(u, v int) {
-	if old := ec.getColor(u, v); old >= 0 {
-		ec.at[u][old] = -1
-		ec.at[v][old] = -1
-		delete(ec.color, normEdge(u, v))
-	}
-}
-
-func opposite(x, c, d int) int {
-	if x == c {
-		return d
-	}
-	return c
-}
-
-// rotateFan shifts the colors of the fan edges down: edge (u, fan[i])
-// takes the color of edge (u, fan[i+1]); the final fan edge is left for
-// the caller to color. Colors are captured before any mutation — shifting
-// in place would clear entries of the per-vertex table that later shifts
-// still need.
-func (ec *edgeColorer) rotateFan(u int, fan []int) {
-	shifted := make([]int, 0, len(fan)-1)
-	for i := 0; i+1 < len(fan); i++ {
-		shifted = append(shifted, ec.getColor(u, fan[i+1]))
-	}
-	for i := 1; i < len(fan); i++ {
-		ec.clearColor(u, fan[i])
-	}
-	for i, c := range shifted {
-		ec.setColor(u, fan[i], c)
+		e := ec.at[x*ec.k+along]
+		ec.at[x*ec.k+c], ec.at[x*ec.k+d] = ec.at[x*ec.k+d], ec.at[x*ec.k+c]
+		if e < 0 {
+			return
+		}
+		along = c + d - along // the other one of c and d
+		ec.col[e] = along
+		x = ec.other(e, x)
 	}
 }

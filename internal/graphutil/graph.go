@@ -1,8 +1,8 @@
 // Package graphutil provides the graph algorithms the compiler stack is
-// built on: a compact undirected graph, the degree-ordered greedy coloring
-// of Algorithm 1 of the paper (used by the Sec. 4 stage scheduler), the
-// iterated maximal-independent-set extraction used by the Enola baseline
-// (Sec. 3) and the maximum matching that bounds it, and the random-graph
+// built on: the Misra-Gries edge coloring behind the Sec. 4 stage
+// scheduler, a compact undirected graph with the iterated
+// maximal-independent-set extraction used by the Enola baseline (Sec. 3)
+// and the maximum matching that bounds it, and the random-graph
 // generators behind the QAOA workloads (Sec. 7.1).
 package graphutil
 
@@ -123,82 +123,6 @@ func (g *Graph) MaxDegree() int {
 		}
 	}
 	return max
-}
-
-// GreedyColoring implements Algorithm 1 of the paper ("optimized
-// edge-coloring"): vertices are processed in descending degree order and
-// each receives the smallest color not used by an already-colored neighbor.
-// The returned slice maps vertex -> color; colors are 0-based and at most
-// MaxDegree()+1 distinct colors are used.
-func (g *Graph) GreedyColoring() []int {
-	order := make([]int, g.n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(i, j int) bool {
-		return len(g.adj[order[i]]) > len(g.adj[order[j]])
-	})
-
-	color := make([]int, g.n)
-	for i := range color {
-		color[i] = -1
-	}
-	available := make([]bool, g.n+1)
-	for _, v := range order {
-		for i := range available {
-			available[i] = true
-		}
-		for _, u := range g.adj[v] {
-			if color[u] >= 0 {
-				available[color[u]] = false
-			}
-		}
-		for c := range available {
-			if available[c] {
-				color[v] = c
-				break
-			}
-		}
-	}
-	return color
-}
-
-// ColorClasses groups vertices by color, dropping any vertex colored -1.
-// Classes are ordered by color index; vertices within a class keep their
-// natural order.
-func ColorClasses(color []int) [][]int {
-	max := -1
-	for _, c := range color {
-		if c > max {
-			max = c
-		}
-	}
-	classes := make([][]int, max+1)
-	for v, c := range color {
-		if c >= 0 {
-			classes[c] = append(classes[c], v)
-		}
-	}
-	return classes
-}
-
-// ValidColoring reports whether color assigns every vertex a non-negative
-// color distinct from all of its neighbors' colors.
-func (g *Graph) ValidColoring(color []int) bool {
-	if len(color) != g.n {
-		return false
-	}
-	for v := 0; v < g.n; v++ {
-		if color[v] < 0 {
-			return false
-		}
-		for _, u := range g.adj[v] {
-			if color[u] == color[v] {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // MaximalIndependentSet returns a maximal independent set of the subgraph

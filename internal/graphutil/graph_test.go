@@ -3,7 +3,6 @@ package graphutil
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestAddEdgeAndQueries(t *testing.T) {
@@ -66,60 +65,6 @@ func TestEdgesSortedAndNormalized(t *testing.T) {
 		if edges[i] != want[i] {
 			t.Fatalf("Edges = %v, want %v", edges, want)
 		}
-	}
-}
-
-// TestGreedyColoringProper: the degree-ordered greedy of Algorithm 1
-// always produces a proper coloring with at most MaxDegree+1 colors.
-func TestGreedyColoringProper(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 100; trial++ {
-		n := 2 + rng.Intn(30)
-		g := RandomGNP(n, rng.Float64(), rng)
-		color := g.GreedyColoring()
-		if !g.ValidColoring(color) {
-			t.Fatalf("trial %d: invalid coloring", trial)
-		}
-		for _, c := range color {
-			if c > g.MaxDegree() {
-				t.Fatalf("trial %d: color %d exceeds MaxDegree+1 = %d", trial, c, g.MaxDegree()+1)
-			}
-		}
-	}
-}
-
-func TestColorClasses(t *testing.T) {
-	classes := ColorClasses([]int{0, 1, 0, 2, -1, 1})
-	if len(classes) != 3 {
-		t.Fatalf("classes = %v, want 3 classes", classes)
-	}
-	if len(classes[0]) != 2 || classes[0][0] != 0 || classes[0][1] != 2 {
-		t.Errorf("class 0 = %v, want [0 2]", classes[0])
-	}
-	// Vertex 4 (color -1) is dropped.
-	total := 0
-	for _, cl := range classes {
-		total += len(cl)
-	}
-	if total != 5 {
-		t.Errorf("classes cover %d vertices, want 5", total)
-	}
-}
-
-func TestValidColoringRejects(t *testing.T) {
-	g := NewGraph(3)
-	g.AddEdge(0, 1)
-	if g.ValidColoring([]int{0, 0, 1}) {
-		t.Error("adjacent same-color accepted")
-	}
-	if g.ValidColoring([]int{0, 1}) {
-		t.Error("short coloring accepted")
-	}
-	if g.ValidColoring([]int{0, -1, 0}) {
-		t.Error("uncolored vertex accepted")
-	}
-	if !g.ValidColoring([]int{0, 1, 0}) {
-		t.Error("proper coloring rejected")
 	}
 }
 
@@ -187,20 +132,5 @@ func TestIsIndependent(t *testing.T) {
 	}
 	if !g.IsIndependent(nil) {
 		t.Error("empty set must be independent")
-	}
-}
-
-// TestGreedyColoringPropertyQuick drives the coloring invariant through
-// testing/quick-generated adjacency.
-func TestGreedyColoringPropertyQuick(t *testing.T) {
-	f := func(seed int64, nRaw uint8, pRaw uint8) bool {
-		n := 2 + int(nRaw%20)
-		p := float64(pRaw) / 255
-		rng := rand.New(rand.NewSource(seed))
-		g := RandomGNP(n, p, rng)
-		return g.ValidColoring(g.GreedyColoring())
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
 	}
 }

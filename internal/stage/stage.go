@@ -1,8 +1,9 @@
 // Package stage implements the Stage Scheduler (Sec. 4 of the paper): it
 // partitions each commutable CZ block into Rydberg stages of disjoint
-// gates via the degree-ordered greedy coloring of Algorithm 1, and orders
-// the stages to minimize qubit interchange between the computation and
-// storage zones.
+// gates (a Misra-Gries edge coloring of the block's interaction graph,
+// compacted, or iterated greedy matching where that needs fewer stages),
+// and orders the stages to minimize qubit interchange between the
+// computation and storage zones.
 package stage
 
 import (
@@ -120,12 +121,13 @@ func ConflictGraph(gates []circuit.CZ) *graphutil.Graph {
 // optimized edge coloring of Sec. 4.1. Gates are edges of the qubit
 // interaction graph, and a proper edge coloring is exactly a partition
 // into stages of qubit-disjoint gates; the Misra-Gries procedure bounds
-// the stage count by MaxDegree+1 (Vizing's bound) in O(V*E) time. A
-// linear compaction pass then retries gates of the later, smaller stages
-// against the earlier ones, absorbing stages the coloring fragmented.
-// Together these keep stage counts competitive with the baseline's far
-// more expensive iterated-MIS scheduling while preserving the near-linear
-// compilation cost the paper claims.
+// the stage count by MaxDegree+1 (Vizing's bound). A compaction pass
+// then retries gates of the later, smaller stages against the earlier
+// ones, absorbing stages the coloring fragmented. Iterated greedy
+// matching partitions the block a second way, and Partition keeps
+// whichever of the two uses fewer stages. For a block of E gates on V
+// qubits with largest qubit degree D, the coloring takes O(E*(D^2+V))
+// time, and compaction and matching O(E*D) each.
 //
 // The gates of one block must be distinct (circuit.Validate enforces
 // this); Partition panics on duplicates, which could not be scheduled
@@ -134,33 +136,19 @@ func Partition(gates []circuit.CZ) []Stage {
 	if len(gates) == 0 {
 		return nil
 	}
-	maxQ := 0
-	for _, gate := range gates {
-		if gate.B > maxQ {
-			maxQ = gate.B
-		}
+	edges := make([][2]int, len(gates))
+	for i, g := range gates {
+		edges[i] = [2]int{g.A, g.B}
 	}
-	g := graphutil.NewGraph(maxQ + 1)
-	for _, gate := range gates {
-		if g.HasEdge(gate.A, gate.B) {
-			panic(fmt.Sprintf("stage: duplicate gate %v in one block", gate))
-		}
-		g.AddEdge(gate.A, gate.B)
+	color := graphutil.EdgeColoring(Stage{Gates: gates}.maxQubit()+1, edges)
+	byColor := make([][]circuit.CZ, slices.Max(color)+1)
+	for i, g := range gates {
+		byColor[color[i]] = append(byColor[color[i]], g)
 	}
-	coloring := g.EdgeColoring()
-	byColor := make(map[int][]circuit.CZ)
-	maxColor := 0
-	for _, gate := range gates {
-		c := coloring[[2]int{gate.A, gate.B}]
-		byColor[c] = append(byColor[c], gate)
-		if c > maxColor {
-			maxColor = c
-		}
-	}
-	stages := make([]Stage, 0, maxColor+1)
-	for c := 0; c <= maxColor; c++ {
-		if len(byColor[c]) > 0 {
-			stages = append(stages, Stage{Gates: byColor[c]})
+	stages := make([]Stage, 0, len(byColor))
+	for _, class := range byColor {
+		if len(class) > 0 {
+			stages = append(stages, Stage{Gates: class})
 		}
 	}
 	stages = compact(stages)
@@ -168,8 +156,8 @@ func Partition(gates []circuit.CZ) []Stage {
 	// Misra-Gries attains Vizing's Delta+1 bound but can miss the
 	// optimum Delta on class-1 graphs (a 30-qubit VQE chain is a path:
 	// chromatic index 2, Misra-Gries may use 3). Iterated greedy
-	// matching exploits exactly such structure. Both run in near-linear
-	// time; keep whichever partition uses fewer Rydberg stages.
+	// matching exploits exactly such structure; keep whichever
+	// partition uses fewer Rydberg stages.
 	if alt := matchingPartition(gates); len(alt) < len(stages) {
 		return alt
 	}
@@ -178,26 +166,29 @@ func Partition(gates []circuit.CZ) []Stage {
 
 // matchingPartition repeatedly extracts a maximal matching from the
 // remaining gates, scanning them in input order. Each matching is one
-// stage.
+// stage. The stages are capacity-clipped windows of one array, so an
+// append to one stage cannot overwrite the next.
 func matchingPartition(gates []circuit.CZ) []Stage {
 	maxQ := Stage{Gates: gates}.maxQubit()
 	used := bitset.New(maxQ + 1)
-	remaining := gates
+	placed := make([]circuit.CZ, 0, len(gates))
+	remaining := slices.Clone(gates)
 	var stages []Stage
 	for len(remaining) > 0 {
 		used.Reset(maxQ + 1)
-		var cur, rest []circuit.CZ
+		start, rest := len(placed), 0
 		for _, g := range remaining {
 			if used.Contains(g.A) || used.Contains(g.B) {
-				rest = append(rest, g)
+				remaining[rest] = g
+				rest++
 				continue
 			}
 			used.Add(g.A)
 			used.Add(g.B)
-			cur = append(cur, g)
+			placed = append(placed, g)
 		}
-		stages = append(stages, Stage{Gates: cur})
-		remaining = rest
+		stages = append(stages, Stage{Gates: placed[start:len(placed):len(placed)]})
+		remaining = remaining[:rest]
 	}
 	return stages
 }
